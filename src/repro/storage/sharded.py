@@ -18,9 +18,10 @@ remembers the old epoch — is handled by the cache's epoch invalidation
 (:meth:`~repro.storage.dedup.FingerprintCache.advance_epoch`), not
 here.
 
-The ring object is injected rather than imported so this module stays
-free of ``repro.tedstore`` dependencies; anything with
-``shard_for_key``/``shards``/``epoch`` duck-types.
+The ring object is injected, and ``load_many`` imports the ring
+module's ``scatter`` only when called, so importing this module never
+imports ``repro.tedstore`` (which imports this module); anything with
+``shard_for_key``/``partition``/``shards``/``epoch`` duck-types.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class ShardedDedupEngine:
         directory: storage root; shard ``k`` lives at
             ``<directory>/shards/<k>``.
         ring: placement — anything with ``shard_for_key(bytes) -> int``,
-            ``shards`` (ids), and ``epoch``.
+            ``partition(keys)``, ``shards`` (ids), and ``epoch``.
         container_bytes: per-shard container size budget.
         concurrent: wrap each shard in
             :class:`~repro.storage.dedup.ConcurrentDedupEngine`
@@ -176,20 +177,16 @@ class ShardedDedupEngine:
         each shard's container look-ahead sees the same access pattern
         a single engine would for those fingerprints.
         """
-        groups: Dict[int, List[int]] = {}
-        for position, fingerprint in enumerate(fingerprints):
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append(position)
+        from repro.tedstore.ring import scatter
+
         results: List[bytes] = [b""] * len(fingerprints)
-        for shard in sorted(groups):
-            positions = groups[shard]
+        for shard, positions in self.ring.partition(fingerprints):
             self._meter.record(shard, len(positions))
             chunks = self._routes[shard].load_many(
                 [fingerprints[p] for p in positions],
                 lookahead_window=lookahead_window,
             )
-            for position, chunk in zip(positions, chunks):
-                results[position] = chunk
+            scatter(results, positions, chunks)
         return results
 
     def flush(self) -> None:

@@ -47,7 +47,7 @@ from repro.tedstore.network import (
 )
 from repro.tedstore.provider import DEFAULT_TENANT
 from repro.tedstore.retry import RetryPolicy
-from repro.tedstore.ring import HashRing
+from repro.tedstore.ring import HashRing, scatter
 
 #: Wire failures that count against a shard's breaker. RuntimeError
 #: (a served MSG_ERROR) and KeyError/FileNotFoundError (typed misses)
@@ -177,26 +177,67 @@ def build_routes(
     return routes
 
 
-def start_monitor(
-    routes: Dict[int, ShardRoute], interval: float
-) -> Optional[ShardHealthMonitor]:
-    """Start a heartbeat monitor over ``routes`` (``interval <= 0`` = off)."""
-    if interval <= 0:
-        return None
-    monitor = ShardHealthMonitor(
-        probes={s: r.probe for s, r in routes.items()},
-        breakers={s: r.breaker for s, r in routes.items()},
-        interval=interval,
-    )
-    return monitor.start()
+class _ShardFleet:
+    """Guarded routes to every ring shard plus their heartbeat monitor.
+
+    The set-up and lifecycle shared by both client sides of a fleet:
+    :class:`MultiShardProvider` and :class:`RemoteKmShardPool`. A
+    ``heartbeat_interval <= 0`` starts no monitor thread.
+    """
+
+    def __init__(
+        self,
+        side: str,
+        ring: HashRing,
+        factory: Callable[[Tuple[str, int]], object],
+        *,
+        breaker_failures: int,
+        breaker_reset: float,
+        heartbeat_interval: float,
+        probe_timeout: float,
+        clock,
+    ) -> None:
+        self.ring = ring
+        self._routes = build_routes(
+            side,
+            ring,
+            factory,
+            breaker_failures=breaker_failures,
+            breaker_reset=breaker_reset,
+            probe_timeout=probe_timeout,
+            clock=clock,
+        )
+        self._monitor: Optional[ShardHealthMonitor] = None
+        if heartbeat_interval > 0:
+            self._monitor = ShardHealthMonitor(
+                probes={s: r.probe for s, r in self._routes.items()},
+                breakers={s: r.breaker for s, r in self._routes.items()},
+                interval=heartbeat_interval,
+            ).start()
+
+    def shard_health(self) -> Dict[int, str]:
+        """``shard id -> breaker state`` for status surfaces."""
+        return {
+            shard: route.breaker.state
+            for shard, route in sorted(self._routes.items())
+        }
+
+    def routes(self) -> Dict[int, ShardRoute]:
+        return dict(self._routes)
+
+    def close(self) -> None:
+        if self._monitor is not None:
+            self._monitor.stop()
+            self._monitor = None
+        for route in self._routes.values():
+            route.close()
 
 
-class MultiShardProvider:
+class MultiShardProvider(_ShardFleet):
     """Provider transport over per-shard processes (DESIGN.md §17).
 
-    Drop-in for :class:`~repro.tedstore.network.RemoteProvider` /
-    :class:`~repro.tedstore.sharding.ShardRoutingProvider` from the
-    client pipeline's point of view: same ``put_chunks`` /
+    Drop-in for :class:`~repro.tedstore.network.RemoteProvider` from
+    the client pipeline's point of view: same ``put_chunks`` /
     ``get_chunks`` / recipe / ``ring_epoch`` surface. Chunks route by
     cipher-fingerprint ring placement to the shard's own provider
     process; recipes route by file name over the same ring, so a
@@ -236,7 +277,6 @@ class MultiShardProvider:
         transport_factory: Optional[Callable] = None,
         clock=None,
     ) -> None:
-        self.ring = ring
         self.tenant = tenant or DEFAULT_TENANT
 
         def factory(address: Tuple[str, int]):
@@ -251,17 +291,17 @@ class MultiShardProvider:
                 io_timeout=io_timeout,
             )
 
-        self._routes = build_routes(
+        super().__init__(
             "provider",
             ring,
             transport_factory or factory,
             breaker_failures=breaker_failures,
             breaker_reset=breaker_reset,
+            heartbeat_interval=heartbeat_interval,
             probe_timeout=probe_timeout,
             clock=clock,
         )
         self._meter = ShardRouteMeter("client", ring.shards)
-        self._monitor = start_monitor(self._routes, heartbeat_interval)
 
     # -- placement helpers -------------------------------------------------
 
@@ -287,18 +327,15 @@ class MultiShardProvider:
     # -- provider surface --------------------------------------------------
 
     def put_chunks(self, request: m.PutChunks) -> m.PutChunksResponse:
-        groups: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        for fingerprint, data in request.chunks:
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append((fingerprint, data))
+        groups = self.ring.partition([fp for fp, _ in request.chunks])
         # Admission first, sends second: a batch that cannot fully land
         # (any target breaker open) fails before ANY sub-batch is sent,
         # so fail-fast never manufactures partial cross-shard state.
-        for shard in sorted(groups):
+        for shard, _ in groups:
             self._routes[shard].admit()
         stored = duplicates = 0
-        for shard in sorted(groups):
-            sub = groups[shard]
+        for shard, positions in groups:
+            sub = [request.chunks[p] for p in positions]
             self._meter.record(shard, len(sub))
             response = self._routes[shard].call(
                 lambda t, sub=sub: t.put_chunks(m.PutChunks(chunks=sub))
@@ -308,23 +345,19 @@ class MultiShardProvider:
         return m.PutChunksResponse(stored=stored, duplicates=duplicates)
 
     def get_chunks(self, request: m.GetChunks) -> m.Chunks:
-        groups: Dict[int, List[int]] = {}
-        for position, fingerprint in enumerate(request.fingerprints):
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append(position)
-        for shard in sorted(groups):
+        groups = self.ring.partition(request.fingerprints)
+        for shard, _ in groups:
             self._routes[shard].admit()
         results: List[bytes] = [b""] * len(request.fingerprints)
-        for shard in sorted(groups):
-            positions = groups[shard]
+        for shard, positions in groups:
+            fps = [request.fingerprints[p] for p in positions]
             self._meter.record(shard, len(positions))
             response = self._routes[shard].call(
-                lambda t, fps=[
-                    request.fingerprints[p] for p in positions
-                ]: t.get_chunks(m.GetChunks(fingerprints=fps))
+                lambda t, fps=fps: t.get_chunks(
+                    m.GetChunks(fingerprints=fps)
+                )
             )
-            for position, chunk in zip(positions, response.chunks):
-                results[position] = chunk
+            scatter(results, positions, response.chunks)
         return m.Chunks(chunks=results)
 
     def put_recipes(self, request: m.PutRecipes) -> None:
@@ -346,16 +379,6 @@ class MultiShardProvider:
             except Exception:
                 continue
         return pongs
-
-    def shard_health(self) -> Dict[int, str]:
-        """``shard id -> breaker state`` for status surfaces."""
-        return {
-            shard: route.breaker.state
-            for shard, route in sorted(self._routes.items())
-        }
-
-    def routes(self) -> Dict[int, ShardRoute]:
-        return dict(self._routes)
 
     def routed_counts(self) -> Dict[int, int]:
         return self._meter.counts
@@ -394,15 +417,8 @@ class MultiShardProvider:
                 totals[name] = totals.get(name, 0) + value
         return totals
 
-    def close(self) -> None:
-        if self._monitor is not None:
-            self._monitor.stop()
-            self._monitor = None
-        for route in self._routes.values():
-            route.close()
 
-
-class RemoteKmShardPool:
+class RemoteKmShardPool(_ShardFleet):
     """Guarded routes to KM sketch-observer processes (front side).
 
     Built by :class:`~repro.tedstore.sharding.ShardedKeyManager` when
@@ -436,17 +452,16 @@ class RemoteKmShardPool:
                 io_timeout=io_timeout,
             )
 
-        self.ring = ring
-        self._routes = build_routes(
+        super().__init__(
             "km",
             ring,
             transport_factory or factory,
             breaker_failures=breaker_failures,
             breaker_reset=breaker_reset,
+            heartbeat_interval=heartbeat_interval,
             probe_timeout=probe_timeout,
             clock=clock,
         )
-        self._monitor = start_monitor(self._routes, heartbeat_interval)
 
     def observe(
         self,
@@ -474,27 +489,10 @@ class RemoteKmShardPool:
     def shard_stats(self, shard_id: int) -> List[Tuple[str, int]]:
         return self._routes[shard_id].call(lambda t: t.stats())
 
-    def shard_health(self) -> Dict[int, str]:
-        return {
-            shard: route.breaker.state
-            for shard, route in sorted(self._routes.items())
-        }
-
-    def routes(self) -> Dict[int, ShardRoute]:
-        return dict(self._routes)
-
-    def close(self) -> None:
-        if self._monitor is not None:
-            self._monitor.stop()
-            self._monitor = None
-        for route in self._routes.values():
-            route.close()
-
 
 __all__ = [
     "MultiShardProvider",
     "RemoteKmShardPool",
     "ShardRoute",
     "build_routes",
-    "start_monitor",
 ]

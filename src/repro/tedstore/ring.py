@@ -43,7 +43,7 @@ import bisect
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, MutableSequence, Optional, Sequence, Tuple
 
 from repro.storage import crash
 
@@ -147,6 +147,12 @@ class HashRing:
         return self.shard_for_key(
             ":".join(str(int(h)) for h in short_hashes).encode("ascii")
         )
+
+    def partition(
+        self, keys: Sequence[bytes]
+    ) -> List[Tuple[int, List[int]]]:
+        """:func:`partition` of a batch of byte keys by ring placement."""
+        return partition([self.shard_for_key(key) for key in keys])
 
     # -- endpoints ---------------------------------------------------------
 
@@ -260,6 +266,38 @@ class HashRing:
         )
 
 
+def partition(owners: Sequence[int]) -> List[Tuple[int, List[int]]]:
+    """Split a batch by owning shard: the one routing loop (DESIGN.md §15).
+
+    ``owners[i]`` is the shard owning batch position ``i``. Returns
+    ``(shard, positions)`` pairs in shard-id order, each ``positions``
+    list in arrival order — so every shard sees its slice of the batch
+    in the order a single engine or sketch would have seen it.
+    """
+    groups: Dict[int, List[int]] = {}
+    for position, owner in enumerate(owners):
+        groups.setdefault(owner, []).append(position)
+    return sorted(groups.items())
+
+
+def scatter(
+    results: MutableSequence, positions: Sequence[int], replies: Sequence
+) -> None:
+    """Write one shard's replies back to their request positions.
+
+    Raises :class:`ValueError` when the shard answered with a different
+    number of items than its sub-batch holds: a short reply would
+    otherwise leave request slots silently unfilled.
+    """
+    if len(replies) != len(positions):
+        raise ValueError(
+            f"shard replied with {len(replies)} items for a sub-batch "
+            f"of {len(positions)}"
+        )
+    for position, reply in zip(positions, replies):
+        results[position] = reply
+
+
 def store_ring(path, ring: HashRing) -> None:
     """Atomically persist ``ring`` as JSON (torn-write safe)."""
     crash.atomic_write_bytes(
@@ -276,5 +314,7 @@ __all__ = [
     "DEFAULT_VNODES",
     "HashRing",
     "load_ring",
+    "partition",
+    "scatter",
     "store_ring",
 ]

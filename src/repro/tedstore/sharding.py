@@ -1,4 +1,4 @@
-"""Sharded key-manager front and client-side shard routing.
+"""Sharded key-manager front.
 
 The KM half of ROADMAP item 2 (DESIGN.md §15). A
 :class:`ShardedKeyManager` presents exactly the
@@ -41,13 +41,6 @@ tracking map — so seeds stay bit-identical while each shard becomes
 an independent failure domain. The front's restore path then replays
 ``front.log`` alone (tune trajectory + request floor); observer
 sketches recover in their own processes.
-
-:class:`ShardRoutingProvider` is the provider-side client hook: a
-transport wrapper that splits chunk batches by ring placement so a
-client can talk to per-shard provider processes (or just meter
-placement against one process). Order within each shard's sub-batch
-preserves arrival order, which is all the dedup engine's determinism
-needs.
 """
 
 from __future__ import annotations
@@ -64,16 +57,18 @@ from repro.tedstore.km_state import KeyManagerStateStore, RestoreReport
 from repro.tedstore.messages import (
     BatchedKeyGenRequest,
     BatchedKeyGenResponse,
-    Chunks,
-    GetChunks,
     KeyGenRequest,
     KeyGenResponse,
-    PutChunks,
-    PutChunksResponse,
     ShardObserveRequest,
     ShardObserveResponse,
 )
-from repro.tedstore.ring import HashRing, load_ring, store_ring
+from repro.tedstore.ring import (
+    HashRing,
+    load_ring,
+    partition,
+    scatter,
+    store_ring,
+)
 from repro.utils.varint import decode_uvarint, encode_uvarint
 
 RING_FILENAME = "ring.json"
@@ -335,29 +330,14 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
                 if sequence > report.last_sequence.get(client_id, -1):
                     report.last_sequence[client_id] = sequence
         self._last_sequence.update(report.last_sequence)
-
         if self._state_root is not None:
-            front_log_path = self._state_root / FRONT_LOG_FILENAME
-            if front.is_fted and front_log_path.exists():
-                last_t = None
-                tunes = 0
-                for _, key, value in WriteAheadLog.replay(front_log_path):
-                    if key == b"tune":
-                        last_t, _ = decode_uvarint(value, 0)
-                        tunes += 1
-                if last_t is not None:
-                    front.t = last_t
-                    front.stats.batches_tuned = tunes
-            self._front_log = WriteAheadLog(front_log_path, scope="km.front")
-
-        total_requests = sum(
-            self._shards[s].key_manager.stats.requests
-            for s in self.ring.shards
+            self._replay_front_log()
+        self._restore_request_count(
+            sum(
+                self._shards[s].key_manager.stats.requests
+                for s in self.ring.shards
+            )
         )
-        if total_requests:
-            front.stats.requests = total_requests
-            if front.batch_size is not None:
-                front._requests_in_batch = total_requests % front.batch_size
         if front.is_fted:
             merged: Dict[Tuple[int, ...], int] = {}
             for shard_id in self.ring.shards:
@@ -385,30 +365,42 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         in DESIGN.md §17.
         """
         report = RestoreReport()
-        front = self.key_manager
         if self._state_root is not None:
-            front_log_path = self._state_root / FRONT_LOG_FILENAME
-            if front_log_path.exists():
-                last_t = None
-                last_requests = 0
-                tunes = 0
-                for _, key, value in WriteAheadLog.replay(front_log_path):
-                    if key == b"tune":
-                        last_t, offset = decode_uvarint(value, 0)
-                        last_requests, _ = decode_uvarint(value, offset)
-                        tunes += 1
-                if last_t is not None and front.is_fted:
-                    front.t = last_t
-                    front.stats.batches_tuned = tunes
-                if last_requests:
-                    front.stats.requests = last_requests
-                    if front.batch_size is not None:
-                        front._requests_in_batch = (
-                            last_requests % front.batch_size
-                        )
-                report.deltas_replayed = tunes
-            self._front_log = WriteAheadLog(front_log_path, scope="km.front")
+            tunes, last_requests = self._replay_front_log()
+            self._restore_request_count(last_requests)
+            report.deltas_replayed = tunes
         return report
+
+    def _replay_front_log(self) -> Tuple[int, int]:
+        """Replay ``front.log`` and reopen it for appends.
+
+        Restores ``t`` and the tune count (FTED only) from the last
+        ``tune`` record; returns ``(tunes, request floor logged with the
+        last tune)``.
+        """
+        front = self.key_manager
+        path = self._state_root / FRONT_LOG_FILENAME
+        last_t = None
+        last_requests = tunes = 0
+        if path.exists():
+            for _, key, value in WriteAheadLog.replay(path):
+                if key == b"tune":
+                    last_t, offset = decode_uvarint(value, 0)
+                    last_requests, _ = decode_uvarint(value, offset)
+                    tunes += 1
+        if last_t is not None and front.is_fted:
+            front.t = last_t
+            front.stats.batches_tuned = tunes
+        self._front_log = WriteAheadLog(path, scope="km.front")
+        return tunes, last_requests
+
+    def _restore_request_count(self, requests: int) -> None:
+        """Set the request count and with it the position-in-batch."""
+        front = self.key_manager
+        if requests:
+            front.stats.requests = requests
+            if front.batch_size is not None:
+                front._requests_in_batch = requests % front.batch_size
 
     # -- service interface -------------------------------------------------
 
@@ -490,12 +482,8 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         single-sketch run exactly. Durable shards log before the
         response is released (the km_state ack contract).
         """
-        groups: Dict[int, List[int]] = {}
-        for position, owner in enumerate(owners):
-            groups.setdefault(owner, []).append(position)
         estimates = [0] * len(vectors)
-        for shard_id in sorted(groups):
-            positions = groups[shard_id]
+        for shard_id, positions in partition(owners):
             sub_batch = [vectors[p] for p in positions]
             self._meter.record(shard_id, len(positions))
             if self._pool is not None:
@@ -519,8 +507,7 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
                         key_manager=shard.key_manager,
                         last_sequence=self._last_sequence,
                     )
-            for position, estimate in zip(positions, sub_estimates):
-                estimates[position] = estimate
+            scatter(estimates, positions, sub_estimates)
         return estimates
 
     def _select(
@@ -654,73 +641,11 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
                 self._front_log = None
 
 
-class ShardRoutingProvider:
-    """Client-side transport wrapper routing chunk batches by ring.
-
-    Wraps any provider transport (:class:`~repro.tedstore.inprocess.\
-LocalProvider`, :class:`~repro.tedstore.network.RemoteProvider`) and
-    splits ``put_chunks``/``get_chunks`` into per-shard sub-batches in
-    shard-id order, each preserving arrival order; ``get_chunks``
-    results are scattered back into request order. Everything else
-    (recipes, stats, close) passes through.
-    """
-
-    def __init__(self, transport, ring: HashRing) -> None:
-        self._transport = transport
-        self.ring = ring
-        self._meter = ShardRouteMeter("client", ring.shards)
-
-    def ring_epoch(self) -> int:
-        return self.ring.epoch
-
-    def put_chunks(self, request: PutChunks) -> PutChunksResponse:
-        groups: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        for fingerprint, data in request.chunks:
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append((fingerprint, data))
-        stored = duplicates = 0
-        for shard in sorted(groups):
-            self._meter.record(shard, len(groups[shard]))
-            response = self._transport.put_chunks(
-                PutChunks(chunks=groups[shard])
-            )
-            stored += response.stored
-            duplicates += response.duplicates
-        return PutChunksResponse(stored=stored, duplicates=duplicates)
-
-    def get_chunks(self, request: GetChunks) -> Chunks:
-        groups: Dict[int, List[int]] = {}
-        for position, fingerprint in enumerate(request.fingerprints):
-            shard = self.ring.shard_for_key(fingerprint)
-            groups.setdefault(shard, []).append(position)
-        results: List[bytes] = [b""] * len(request.fingerprints)
-        for shard in sorted(groups):
-            positions = groups[shard]
-            self._meter.record(shard, len(positions))
-            response = self._transport.get_chunks(
-                GetChunks(
-                    fingerprints=[
-                        request.fingerprints[p] for p in positions
-                    ]
-                )
-            )
-            for position, chunk in zip(positions, response.chunks):
-                results[position] = chunk
-        return Chunks(chunks=results)
-
-    def routed_counts(self) -> Dict[int, int]:
-        return self._meter.counts
-
-    def __getattr__(self, name: str):
-        return getattr(self._transport, name)
-
-
 __all__ = [
     "FRONT_LOG_FILENAME",
     "RING_FILENAME",
     "SHARDS_DIRNAME",
     "ShardObserverService",
-    "ShardRoutingProvider",
     "ShardedKeyManager",
     "make_shard_observer",
 ]

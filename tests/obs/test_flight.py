@@ -51,6 +51,20 @@ class TestFlightRecorder:
         # Timestamps are monotonic within the file.
         assert ops[0]["ts"] < ops[1]["ts"]
 
+    def test_timestamp_is_taken_under_the_write_lock(self, path):
+        """Stamping outside the lock lets two writers append events out
+        of time order; the clock must only run while the lock is held."""
+        recorder = None
+
+        def clock():
+            assert recorder._lock.locked(), "clock read outside the lock"
+            return 1.0
+
+        recorder = FlightRecorder(path, clock=clock)
+        recorder.emit("op", op="upload")
+        recorder.close()
+        assert [e["ts"] for e in iter_flight(path)] == [1.0]
+
     def test_rotation_bounds_disk_and_keeps_recent_history(self, path):
         recorder = FlightRecorder(path, max_bytes=4096, clock=FakeClock())
         for i in range(200):

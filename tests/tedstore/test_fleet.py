@@ -122,6 +122,19 @@ class TestHealthyRouting:
         assert sum(per_shard) == 40 + 24  # batch + warm-up chunks
         assert all(count > 0 for count in per_shard)
 
+    def test_short_shard_reply_is_an_error_not_empty_slots(self):
+        provider, fakes = _fleet()
+        warm = [b"warm-%d" % i for i in range(24)]
+        for fake in fakes.values():
+            full = fake.get_chunks
+
+            def short(request, full=full):
+                return m.Chunks(chunks=full(request).chunks[:-1])
+
+            fake.get_chunks = short
+        with pytest.raises(ValueError, match="sub-batch"):
+            provider.get_chunks(m.GetChunks(fingerprints=warm))
+
     def test_recipes_live_in_one_failure_domain(self):
         provider, fakes = _fleet()
         request = m.PutRecipes(

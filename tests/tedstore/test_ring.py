@@ -23,6 +23,8 @@ from repro.tedstore.ring import (
     DEFAULT_VNODES,
     HashRing,
     load_ring,
+    partition,
+    scatter,
     store_ring,
 )
 
@@ -141,6 +143,49 @@ def test_balance_within_bound_at_10k_keys(shards):
     mean = 10_000 / shards
     imbalance = max(counts.values()) / mean
     assert imbalance <= 1.25, f"imbalance {imbalance:.3f} > 1.25 bound"
+
+
+# -- batch routing ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shards", [1, 3, 5])
+def test_partition_covers_every_position_in_shard_then_arrival_order(shards):
+    ring = HashRing.build(shards, seed=3)
+    keys = _keys(200)
+    groups = ring.partition(keys)
+    assert groups == partition([ring.shard_for_key(k) for k in keys])
+    # Shards come in shard-id order, each exactly once.
+    assert [shard for shard, _ in groups] == sorted(
+        {ring.shard_for_key(k) for k in keys}
+    )
+    positions = [p for _, group in groups for p in group]
+    assert sorted(positions) == list(range(len(keys)))
+    for shard, group in groups:
+        assert group == sorted(group)  # arrival order within a shard
+        assert all(ring.shard_for_key(keys[p]) == shard for p in group)
+
+
+@pytest.mark.parametrize("shards", [1, 3, 5])
+def test_scatter_restores_request_order(shards):
+    ring = HashRing.build(shards, seed=3)
+    keys = _keys(200)
+    results = [None] * len(keys)
+    for _, group in ring.partition(keys):
+        scatter(results, group, [keys[p].upper() for p in group])
+    assert results == [k.upper() for k in keys]
+
+
+def test_partition_of_an_empty_batch_is_empty():
+    assert partition([]) == []
+    assert HashRing.build(3).partition([]) == []
+
+
+@pytest.mark.parametrize("reply_length", [2, 4])
+def test_scatter_rejects_a_reply_of_the_wrong_length(reply_length):
+    results = [b""] * 5
+    with pytest.raises(ValueError, match="sub-batch of 3"):
+        scatter(results, [0, 2, 4], [b"x"] * reply_length)
+    assert results == [b""] * 5  # nothing written on a bad reply
 
 
 # -- config round-trip --------------------------------------------------------
