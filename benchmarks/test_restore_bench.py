@@ -1,20 +1,19 @@
-"""Restore throughput: serial vs pipelined download (BENCH_restore).
+"""Restore throughput: naive oracle vs client download (BENCH_restore).
 
 The B.5 companion bench: uploads the A1 synthetic workload (FSL-like
 snapshot series) once into an on-disk provider serving reads with
 look-ahead container scheduling, then restores every snapshot twice —
-through the serial download loop and through the pipelined read path
-(4 decrypt workers, DESIGN.md §11) — and reports download throughput in
-MB/s. On this duplicate-heavy workload the pipelined path's restore
-alias suppression fetches and decrypts each unique (ciphertext, key)
-pair once, which is where the speedup comes from on a single-core
-runner (threads alone add no CPU parallelism under the GIL).
+through ``naive_download`` (every recipe entry fetched and decrypted
+afresh) and through the client's download loop (DESIGN.md §11) — and
+reports download throughput in MB/s. On this duplicate-heavy workload
+the client fetches and decrypts each unique (ciphertext, key) pair once
+per file and copies the repeats, which is where the speedup comes from.
 
 Emits the ``restore`` section (CI routes it to ``BENCH_restore.json``)
 with both throughputs, the speedup, and the provider-side
-fragmentation/container-cache statistics, and fails if pipelined
-throughput drops below serial — the CI regression gate. Restored bytes
-are verified identical across the two paths for every snapshot.
+fragmentation/container-cache statistics, and fails if the client's
+throughput drops below the oracle's — the CI regression gate. Restored
+bytes are verified identical across the two for every snapshot.
 """
 
 import hashlib
@@ -23,6 +22,8 @@ import time
 
 from conftest import print_table
 from emit import emit
+
+from tests.harness.differential import naive_download
 
 from repro.core.ted import TedKeyManager
 from repro.crypto.cipher import get_profile
@@ -38,8 +39,8 @@ _BATCH = 4096
 _LOOKAHEAD = 256
 
 
-def _make_clients(directory):
-    """One serial and one pipelined client over shared services."""
+def _make_client(directory):
+    """One client over an on-disk provider with look-ahead reads."""
     service = KeyManagerService(
         TedKeyManager(
             secret=b"restore-bench",
@@ -54,31 +55,24 @@ def _make_clients(directory):
         container_bytes=1 << 20,  # small containers → real fragmentation
         lookahead_window=_LOOKAHEAD,
     )
-    km_transport = LocalKeyManager(service)
-    provider_transport = LocalProvider(provider)
-
-    def client(workers: int) -> TedStoreClient:
-        return TedStoreClient(
-            km_transport,
-            provider_transport,
-            profile=get_profile("shactr"),
-            sketch_width=_W,
-            batch_size=_BATCH,
-            workers=workers,
-            pipeline_depth=4,
-        )
-
-    return client(1), client(4), provider
+    client = TedStoreClient(
+        LocalKeyManager(service),
+        LocalProvider(provider),
+        profile=get_profile("shactr"),
+        sketch_width=_W,
+        batch_size=_BATCH,
+    )
+    return client, provider
 
 
-def _download_all(client: TedStoreClient, names) -> dict:
-    """Download every snapshot; time only the download calls."""
+def _download_all(download, names) -> dict:
+    """Restore every snapshot; time only the ``download`` calls."""
     download_seconds = 0.0
     logical = 0
     digests = {}
     for name in names:
         started = time.perf_counter()
-        data = client.download(name)
+        data = download(name)
         download_seconds += time.perf_counter() - started
         logical += len(data)
         digests[name] = hashlib.sha256(data).hexdigest()
@@ -93,14 +87,14 @@ def _download_all(client: TedStoreClient, names) -> dict:
     }
 
 
-def test_restore_pipelined_vs_serial_throughput(fsl_dataset, tmp_path):
-    serial_client, piped_client, provider = _make_clients(tmp_path)
+def test_restore_client_vs_naive_throughput(fsl_dataset, tmp_path):
+    client, provider = _make_client(tmp_path)
     names = []
     for snapshot in fsl_dataset.snapshots:
         chunks = [
             materialize_chunk(fp, size) for fp, size in snapshot.records
         ]
-        serial_client.upload_chunks(snapshot.snapshot_id, chunks)
+        client.upload_chunks(snapshot.snapshot_id, chunks)
         names.append(snapshot.snapshot_id)
     provider.flush()
 
@@ -108,22 +102,23 @@ def test_restore_pipelined_vs_serial_throughput(fsl_dataset, tmp_path):
     # driver this bench exists to keep visible.
     last = fsl_dataset.snapshots[-1]
     engine = provider.engine
-    algorithm = serial_client.profile.hash_algorithm
-    file_recipe, _ = serial_client._fetch_recipes(last.snapshot_id)
+    algorithm = client.profile.hash_algorithm
+    file_recipe, _ = client._fetch_recipes(last.snapshot_id)
     locations = [
         engine.locate(fp) for fp, _ in file_recipe.entries
     ]
     fragmentation = FragmentationAnalyzer.analyze(locations)
 
-    # Serial first: it warms the provider's container cache, which only
-    # stabilizes the gate in the pipelined run's favor being honest —
-    # the pipelined path then wins on client-side work skipped, not on
-    # a cold-vs-warm cache artifact.
-    serial = _download_all(serial_client, names)
-    piped = _download_all(piped_client, names)
+    # The oracle first: it warms the provider's container cache, so the
+    # client then wins on client-side work skipped, not on a
+    # cold-vs-warm cache artifact.
+    naive = _download_all(
+        lambda name: naive_download(client, name), names
+    )
+    restored = _download_all(client.download, names)
 
-    # Byte-identity spot check across the two paths, every snapshot.
-    assert piped.pop("digests") == serial.pop("digests")
+    # Byte-identity spot check against the oracle, every snapshot.
+    assert restored.pop("digests") == naive.pop("digests")
 
     restorer_stats = {}
     restorer = engine._restorers.get(_LOOKAHEAD)
@@ -131,29 +126,28 @@ def test_restore_pipelined_vs_serial_throughput(fsl_dataset, tmp_path):
         restorer_stats = dict(restorer.stats)
 
     rows = [
-        {"path": "serial", **serial},
-        {"path": "pipelined (4 decrypt workers)", **piped},
+        {"path": "naive_download", **naive},
+        {"path": "client", **restored},
     ]
     speedup = (
-        piped["mb_per_s"] / serial["mb_per_s"]
-        if serial["mb_per_s"]
+        restored["mb_per_s"] / naive["mb_per_s"]
+        if naive["mb_per_s"]
         else 0.0
     )
     print_table(
         "Restore download throughput (A1 FSL-like workload)", rows
     )
     print(
-        f"pipelined restore speedup: {speedup:.2f}x; "
+        f"client restore speedup: {speedup:.2f}x; "
         f"fragmentation factor (last snapshot): "
         f"{fragmentation.fragmentation_factor:.3f}"
     )
     emit(
         "restore",
         {
-            "serial": serial,
-            "pipelined": piped,
+            "naive": naive,
+            "client": restored,
             "speedup": round(speedup, 3),
-            "workers": 4,
             "lookahead_window": _LOOKAHEAD,
             "fragmentation": {
                 "chunks": fragmentation.chunks,
@@ -170,11 +164,11 @@ def test_restore_pipelined_vs_serial_throughput(fsl_dataset, tmp_path):
         },
     )
 
-    assert serial["logical_mb"] == piped["logical_mb"]
+    assert naive["logical_mb"] == restored["logical_mb"]
     # The look-ahead path must actually be serving these restores.
     assert restorer_stats.get("window_count", 0) > 0
-    # Regression gate: the pipelined path may never be slower than serial.
-    assert piped["mb_per_s"] >= serial["mb_per_s"], (
-        f"pipelined restore regressed below serial: "
-        f"{piped['mb_per_s']} < {serial['mb_per_s']} MB/s"
+    # Regression gate: the client may never restore slower than the oracle.
+    assert restored["mb_per_s"] >= naive["mb_per_s"], (
+        f"client restore regressed below naive_download: "
+        f"{restored['mb_per_s']} < {naive['mb_per_s']} MB/s"
     )

@@ -78,14 +78,11 @@ def _master_key(path: Optional[str]) -> bytes:
 
 
 def _make_client(args: argparse.Namespace) -> TedStoreClient:
-    workers = getattr(args, "workers", 1)
-    crypto_workers = getattr(args, "crypto_workers", 0)
     cache = None
     if getattr(args, "fp_cache", 0) > 0:
         from repro.storage.dedup import FingerprintCache
 
         cache = FingerprintCache(capacity=args.fp_cache)
-    pipelined = workers > 1 or crypto_workers > 0 or cache is not None
     auth_token = b""
     if getattr(args, "auth_token", None):
         auth_token = Path(args.auth_token).read_bytes().strip()
@@ -107,16 +104,11 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
             ring,
             tenant=getattr(args, "tenant", "") or "default",
             auth_token=auth_token,
-            data_connections=2 if pipelined else 0,
             heartbeat_interval=getattr(args, "heartbeat_interval", 0.0),
         )
     else:
         provider = RemoteProvider(
             _address(args.provider),
-            # Pipelined uploads push data frames over dedicated
-            # connections so PUT traffic never queues behind control
-            # round trips (DESIGN.md §10).
-            data_connections=2 if pipelined else 0,
             tenant=getattr(args, "tenant", "") or "default",
             auth_token=auth_token,
         )
@@ -128,10 +120,8 @@ def _make_client(args: argparse.Namespace) -> TedStoreClient:
         sketch_width=args.sketch_width,
         batch_size=args.batch_size,
         metadata_dedup=getattr(args, "metadedup", False),
-        workers=workers,
-        pipeline_depth=getattr(args, "pipeline_depth", 4),
+        workers=getattr(args, "workers", 1),
         fingerprint_cache=cache,
-        crypto_workers=crypto_workers,
     )
 
 
@@ -805,27 +795,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sketch-width", type=int, default=2**21)
         p.add_argument("--batch-size", type=int, default=48_000)
         p.add_argument(
-            "--workers", type=int, default=1,
-            help="encrypt/decrypt worker threads; >1 enables the "
-                 "pipelined upload and download paths "
-                 "(DESIGN.md §§10-11)",
-        )
-        p.add_argument(
-            "--pipeline-depth", type=int, default=4,
-            help="bounded-queue depth between pipeline stages",
-        )
-        p.add_argument(
-            "--crypto-workers", type=int, default=0, metavar="N",
-            help="encrypt in a pool of N OS processes instead of the "
-                 "worker threads (sidesteps the GIL for CPU-bound "
-                 "profiles; implies the pipelined upload path and keeps "
-                 "stored bytes identical, DESIGN.md §16)",
+            "--workers", type=int, default=1, metavar="N",
+            help="encrypt in a pool of N OS processes; >1 sidesteps "
+                 "the GIL for CPU-bound profiles and keeps stored bytes "
+                 "identical (DESIGN.md §16)",
         )
         p.add_argument(
             "--fp-cache", type=int, default=0, metavar="ENTRIES",
             help="client fingerprint-cache capacity; >0 enables "
-                 "client-side duplicate short-circuiting (implies the "
-                 "pipelined path)",
+                 "client-side duplicate short-circuiting (DESIGN.md §10)",
         )
         p.add_argument(
             "--tenant", default="default",

@@ -71,6 +71,9 @@ class FlightRecorder:
         )
         self._size = self.path.stat().st_size
         self._last_counters: Dict[str, float] = {}
+        # Held across read, swap and emit of one delta: two callers
+        # interleaving there would let an older snapshot land last.
+        self._delta_lock = threading.Lock()
 
     # -- core ----------------------------------------------------------------
 
@@ -151,23 +154,24 @@ class FlightRecorder:
         unchanged series are skipped so steady state is nearly free.
         """
         registry = registry or obs_metrics.get_registry()
-        current: Dict[str, float] = {}
-        for instrument in registry.instruments():
-            if instrument.kind == "histogram":
-                continue
-            for values, child in instrument.children():
-                suffix = obs_metrics._format_labels(
-                    instrument.labelnames, values
-                )
-                current[f"{instrument.name}{suffix}"] = child.value
-        delta = {
-            name: value
-            for name, value in current.items()
-            if self._last_counters.get(name) != value
-        }
-        self._last_counters = current
-        if delta:
-            self.emit("metrics", delta=delta)
+        with self._delta_lock:
+            current: Dict[str, float] = {}
+            for instrument in registry.instruments():
+                if instrument.kind == "histogram":
+                    continue
+                for values, child in instrument.children():
+                    suffix = obs_metrics._format_labels(
+                        instrument.labelnames, values
+                    )
+                    current[f"{instrument.name}{suffix}"] = child.value
+            delta = {
+                name: value
+                for name, value in current.items()
+                if self._last_counters.get(name) != value
+            }
+            self._last_counters = current
+            if delta:
+                self.emit("metrics", delta=delta)
 
     def emit_span(self, span: Span) -> None:
         self.emit(

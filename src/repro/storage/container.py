@@ -447,11 +447,16 @@ class ContainerStore:
             ValueError: location out of the container's bounds.
             ContainerIntegrityError: the container file is corrupt.
         """
-        data = self._load_container(location.container_id)
+        if location.container_id == self._open_id:
+            # Slice the open buffer directly: snapshotting the whole
+            # container (up to its full size) per chunk read is waste.
+            data = self._open_buffer
+        else:
+            data = self._load_container(location.container_id)
         end = location.offset + location.length
         if end > len(data):
             raise ValueError(f"chunk location out of bounds: {location}")
-        return data[location.offset : end]
+        return bytes(data[location.offset : end])
 
     def toc(self, container_id: int) -> List[TocEntry]:
         """TOC entries for one container (open or sealed).

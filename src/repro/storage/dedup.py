@@ -118,7 +118,7 @@ class FingerprintCache:
     saturates as the LRU evicts — false positives then fall through to
     the authoritative LRU, never the other way around.
 
-    Thread-safe: lookups and inserts may come from any pipeline stage.
+    Thread-safe: clients on several threads may share one cache.
     """
 
     def __init__(
@@ -200,7 +200,7 @@ class FingerprintCache:
         bloom filter is rebuilt too, since it fronts the LRU.
 
         Returns the number of entries invalidated; same-epoch calls are
-        no-ops so the pipeline can consult this on every upload.
+        no-ops so the client can consult this on every upload.
 
         Raises:
             RingEpochRegressionError: ``epoch`` is lower than the epoch

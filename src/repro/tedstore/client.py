@@ -21,12 +21,13 @@ Experiments B.1/B.4 can report the same breakdown tables.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chunking.cdc import ChunkerParams, ContentDefinedChunker
 from repro.core.keygen import derive_key
-from repro.crypto.cipher import SECURE, CipherProfile
+from repro.crypto.cipher import SECURE, CipherProfile, get_profile
 from repro.crypto.hashes import digest
 from repro.crypto.murmur3 import short_hashes
 from repro.obs import metrics as obs_metrics, tracing
@@ -60,6 +61,35 @@ _CLIENT_CHUNKS = _REGISTRY.counter(
     "Chunks moved by the client",
     labelnames=("op",),
 )
+_PIPELINE_CHUNKS = _REGISTRY.counter(
+    "ted_pipeline_chunks_total",
+    "Chunks through the client's batch loop, by path taken",
+    labelnames=("path",),
+)
+
+
+def _encrypt_pairs(
+    profile: CipherProfile, jobs: Sequence[Tuple[bytes, bytes]]
+) -> List[Tuple[bytes, bytes]]:
+    """``(cipher_fp, ciphertext)`` per ``(key, chunk)``, in order."""
+    algorithm = profile.hash_algorithm
+    out = []
+    for key, chunk in jobs:
+        ciphertext = profile.encrypt(key, chunk)
+        out.append((digest(ciphertext, algorithm), ciphertext))
+    return out
+
+
+def _mp_encrypt_job(
+    profile_name: str, jobs: Sequence[Tuple[bytes, bytes]]
+) -> List[Tuple[bytes, bytes]]:
+    """:func:`_encrypt_pairs` in a pool process.
+
+    Module-level so it pickles; resolves the profile by name in the
+    child. Encryption is deterministic in (profile, key, chunk), so the
+    result is byte-identical to in-process encryption.
+    """
+    return _encrypt_pairs(get_profile(profile_name), jobs)
 
 
 @dataclass
@@ -70,8 +100,8 @@ class UploadResult:
     physical storage, whether the provider detected the duplicate or the
     client's fingerprint cache short-circuited the upload entirely;
     ``cache_hits`` is the subset resolved client-side, so
-    ``stored_chunks + duplicate_chunks == chunk_count`` holds on every
-    path (serial, pipelined, cached).
+    ``stored_chunks + duplicate_chunks == chunk_count`` holds with or
+    without the cache.
     """
 
     file_name: str
@@ -85,6 +115,12 @@ class UploadResult:
 class TedStoreClient:
     """One TEDStore client (one user of the organization).
 
+    Uploads and downloads run one batch loop (DESIGN.md §§10–11): each
+    ``batch_size`` slice of chunks goes through every step of Figure 1
+    before the next slice starts, so keygen requests reach the key
+    manager in chunk order and PUT batches land in the same order on
+    every run.
+
     Args:
         key_manager: transport to the key manager.
         provider: transport to the provider.
@@ -92,24 +128,20 @@ class TedStoreClient:
         profile: cipher/hash profile ("secure", "fast", or "shactr").
         sketch_rows / sketch_width: must match the key manager's sketch
             geometry — the client computes the short hashes (§3.3).
-        batch_size: chunks per key-generation round trip (§3.5).
+        batch_size: chunks per key-generation round trip and per PUT
+            batch (§3.5).
         chunker: content-defined chunker (paper defaults 4/8/16 KB).
         timer: optional stage timer; a fresh one is created if omitted.
-        workers: encrypt worker threads. With ``workers > 1`` (or a
-            fingerprint cache) uploads run through the pipelined path
-            (:mod:`repro.tedstore.pipeline`), which is bit-identical to
-            the serial path by construction (DESIGN.md §10).
-        pipeline_depth: bounded-queue depth between pipeline stages —
-            the backpressure knob capping in-flight sub-batches.
+        workers: encrypt processes. With ``workers > 1`` each batch's
+            chunks are encrypted in a pool of this many OS processes,
+            sidestepping the GIL for CPU-bound profiles; stored bytes
+            are identical because encryption is a pure function of
+            (profile, key, chunk) (DESIGN.md §16). ``1`` encrypts in
+            the calling thread.
         fingerprint_cache: optional client-side
-            :class:`~repro.storage.dedup.FingerprintCache`; hits skip
-            encryption and upload for chunks already at the provider.
-        crypto_workers: if > 0, encrypt jobs run in a pool of this many
-            OS processes instead of in the worker threads, sidestepping
-            the GIL for CPU-bound profiles. Implies the pipelined path;
-            byte-identical output since the re-sequencing uploader
-            restores chunk order and encryption is a pure function of
-            (profile, key, chunk) (DESIGN.md §16).
+            :class:`~repro.storage.dedup.FingerprintCache`; hits, and
+            repeats of a (fingerprint, seed) pair already seen in the
+            same upload, skip encryption and upload (DESIGN.md §10).
     """
 
     def __init__(
@@ -126,18 +158,12 @@ class TedStoreClient:
         metadata_dedup: bool = False,
         metadata_entries_per_chunk: int = 128,
         workers: int = 1,
-        pipeline_depth: int = 4,
-        fingerprint_cache: Optional["FingerprintCache"] = None,
-        crypto_workers: int = 0,
+        fingerprint_cache: Optional[FingerprintCache] = None,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be at least 1")
-        if crypto_workers < 0:
-            raise ValueError("crypto_workers must be non-negative")
         self.key_manager = key_manager
         self.provider = provider
         self.master_key = master_key
@@ -154,49 +180,15 @@ class TedStoreClient:
         self.metadata_dedup = metadata_dedup
         self.metadata_entries_per_chunk = metadata_entries_per_chunk
         self.workers = workers
-        self.pipeline_depth = pipeline_depth
         self.fingerprint_cache = fingerprint_cache
-        self.crypto_workers = crypto_workers
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether transfers take the pipelined paths (DESIGN.md §§10–11).
-
-        Uploads go through :mod:`repro.tedstore.pipeline`, downloads
-        through :mod:`repro.tedstore.restore_pipeline`; both are
-        byte-identical to their serial counterparts by construction.
-        """
-        return (
-            self.workers > 1
-            or self.crypto_workers > 0
-            or self.fingerprint_cache is not None
-        )
 
     # -- upload ---------------------------------------------------------------
 
     def upload(self, file_name: str, data: bytes) -> UploadResult:
-        """Chunk and upload a file's raw bytes.
-
-        On the pipelined path the chunker output streams straight into
-        the pipeline's feed stage, so chunking overlaps keygen, encrypt,
-        and upload instead of completing before they start.
-        """
-        if self.pipelined:
-            return self._upload_chunks(file_name, self._chunk_stream(data))
+        """Chunk and upload a file's raw bytes."""
         with self.timer.stage("chunking"):
             chunks = list(self.chunker.chunk(data))
         return self._upload_chunks(file_name, chunks)
-
-    def _chunk_stream(self, data: bytes) -> Iterable[bytes]:
-        """Chunk lazily, attributing time to the chunking stage."""
-        iterator = iter(self.chunker.chunk(data))
-        while True:
-            with self.timer.stage("chunking"):
-                try:
-                    chunk = next(iterator)
-                except StopIteration:
-                    return
-            yield chunk
 
     def upload_chunks(
         self, file_name: str, chunks: Sequence[bytes]
@@ -205,18 +197,17 @@ class TedStoreClient:
         return self._upload_chunks(file_name, chunks)
 
     def _upload_chunks(
-        self, file_name: str, chunks: Iterable[bytes]
+        self, file_name: str, chunks: Sequence[bytes]
     ) -> UploadResult:
-        try:
-            count = len(chunks)  # type: ignore[arg-type]
-        except TypeError:
-            count = -1  # streaming feed: total unknown until chunked
         with tracing.get_tracer().span(
             "client.upload",
-            attributes={"file": file_name, "chunks": count},
+            attributes={"file": file_name, "chunks": len(chunks)},
         ):
-            if self.pipelined:
-                result = self._upload_chunks_pipelined(file_name, chunks)
+            if self.workers > 1:
+                with ProcessPoolExecutor(max_workers=self.workers) as pool:
+                    result = self._upload_chunks_inner(
+                        file_name, chunks, pool
+                    )
             else:
                 result = self._upload_chunks_inner(file_name, chunks)
         _CLIENT_OPS.labels(op="upload").inc()
@@ -224,43 +215,34 @@ class TedStoreClient:
         _CLIENT_CHUNKS.labels(op="upload").inc(result.chunk_count)
         return result
 
-    def _upload_chunks_pipelined(
-        self, file_name: str, chunks: Iterable[bytes]
+    def _upload_chunks_inner(
+        self,
+        file_name: str,
+        chunks: Sequence[bytes],
+        pool: Optional[ProcessPoolExecutor] = None,
     ) -> UploadResult:
-        from repro.tedstore.pipeline import PipelinedUploader
-
-        if self.fingerprint_cache is not None:
+        algorithm = self.profile.hash_algorithm
+        cache = self.fingerprint_cache
+        if cache is not None:
             # A reshard moves fingerprint ownership between provider
             # shards; cached "duplicate" verdicts from the old placement
             # must not suppress uploads under the new one. The provider
             # advertises its ring epoch; any advance drops the cache.
             ring_epoch = getattr(self.provider, "ring_epoch", None)
             if callable(ring_epoch):
-                self.fingerprint_cache.advance_epoch(ring_epoch())
-        uploader = PipelinedUploader(self)
-        uploader.run(file_name, chunks)
-        with self.timer.stage("write"):
-            self._put_recipes(
-                file_name, uploader.file_recipe, uploader.key_recipe
-            )
-        return UploadResult(
-            file_name=file_name,
-            logical_bytes=uploader.logical_bytes,
-            chunk_count=uploader.chunk_count,
-            stored_chunks=uploader.stored,
-            duplicate_chunks=uploader.duplicates,
-            cache_hits=uploader.cache_hits,
-        )
-
-    def _upload_chunks_inner(
-        self, file_name: str, chunks: Sequence[bytes]
-    ) -> UploadResult:
-        algorithm = self.profile.hash_algorithm
+                cache.advance_epoch(ring_epoch())
         file_recipe = FileRecipe(file_name=file_name)
         key_recipe = KeyRecipe()
         stored = 0
         duplicates = 0
+        cache_hits = 0
         logical = 0
+        # Ciphertext fingerprint of every chunk so far, and (cache on
+        # only) the position of each (fingerprint, seed) pair's first
+        # occurrence: a repeat copies the first one's ciphertext
+        # fingerprint instead of being encrypted and PUT again.
+        cipher_fps: List[Optional[bytes]] = []
+        first_seen: Dict[bytes, int] = {}
 
         for start in range(0, len(chunks), self.batch_size):
             batch = chunks[start : start + self.batch_size]
@@ -281,10 +263,10 @@ class TedStoreClient:
                 ]
 
             with self.timer.stage("key seeding"):
-                response = self.key_manager.keygen(
+                seeds = self.key_manager.keygen(
                     KeyGenRequest(hash_vectors=hash_vectors)
-                )
-            if len(response.seeds) != len(batch):
+                ).seeds
+            if len(seeds) != len(batch):
                 raise RuntimeError(
                     "key manager returned a mismatched seed batch"
                 )
@@ -292,27 +274,67 @@ class TedStoreClient:
             with self.timer.stage("key derivation"):
                 keys = [
                     derive_key(seed, fp, algorithm)
-                    for seed, fp in zip(response.seeds, fingerprints)
+                    for seed, fp in zip(seeds, fingerprints)
                 ]
+
+            misses: List[int] = []  # batch offsets to encrypt and PUT
+            aliases: List[Tuple[int, int]] = []  # (position, first)
+            for offset, (fp, seed) in enumerate(zip(fingerprints, seeds)):
+                cipher_fps.append(None)
+                if cache is None:
+                    misses.append(offset)
+                    continue
+                cached = cache.lookup(fp, seed)
+                if cached is not None:
+                    cipher_fps[-1] = cached
+                    cache_hits += 1
+                    continue
+                position = start + offset
+                first = first_seen.setdefault(
+                    FingerprintCache.key(fp, seed), position
+                )
+                if first == position:
+                    misses.append(offset)
+                else:
+                    aliases.append((position, first))
+            if cache is not None:
+                _PIPELINE_CHUNKS.labels(path="cache_hit").inc(
+                    len(batch) - len(misses) - len(aliases)
+                )
+                _PIPELINE_CHUNKS.labels(path="inflight_dup").inc(
+                    len(aliases)
+                )
 
             with self.timer.stage("encryption"):
-                ciphertexts = [
-                    self.profile.encrypt(key, chunk)
-                    for key, chunk in zip(keys, batch)
-                ]
-                cipher_fps = [
-                    digest(ct, algorithm) for ct in ciphertexts
-                ]
-
-            with self.timer.stage("write"):
-                result = self.provider.put_chunks(
-                    PutChunks(chunks=list(zip(cipher_fps, ciphertexts)))
+                encrypted = self._encrypt(
+                    [(keys[i], batch[i]) for i in misses], pool
                 )
-            stored += result.stored
-            duplicates += result.duplicates
+            _PIPELINE_CHUNKS.labels(path="encrypted").inc(len(misses))
+            for offset, (cipher_fp, _) in zip(misses, encrypted):
+                cipher_fps[start + offset] = cipher_fp
+            # A pair's first occurrence always precedes its repeats.
+            for position, first in aliases:
+                cipher_fps[position] = cipher_fps[first]
 
-            for chunk, cipher_fp, key in zip(batch, cipher_fps, keys):
-                file_recipe.add(cipher_fp, len(chunk))
+            if encrypted:
+                with self.timer.stage("write"):
+                    result = self.provider.put_chunks(
+                        PutChunks(chunks=encrypted)
+                    )
+                stored += result.stored
+                duplicates += result.duplicates
+            if cache is not None:
+                # Coherence rule: insert only after the provider
+                # acknowledged the batch (DESIGN.md §10).
+                for offset, (cipher_fp, _) in zip(misses, encrypted):
+                    cache.insert(
+                        fingerprints[offset], seeds[offset], cipher_fp
+                    )
+            # Cache hits and repeats create no physical storage.
+            duplicates += len(batch) - len(misses)
+
+            for offset, (chunk, key) in enumerate(zip(batch, keys)):
+                file_recipe.add(cipher_fps[start + offset], len(chunk))
                 key_recipe.add(key)
                 logical += len(chunk)
 
@@ -324,7 +346,27 @@ class TedStoreClient:
             chunk_count=len(chunks),
             stored_chunks=stored,
             duplicate_chunks=duplicates,
+            cache_hits=cache_hits,
         )
+
+    def _encrypt(
+        self,
+        jobs: List[Tuple[bytes, bytes]],
+        pool: Optional[ProcessPoolExecutor],
+    ) -> List[Tuple[bytes, bytes]]:
+        """:func:`_encrypt_pairs`, in ``pool`` when one is given."""
+        if pool is None:
+            return _encrypt_pairs(self.profile, jobs)
+        # Contiguous slices, one per process; ``map`` keeps their order.
+        size = max(32, -(-len(jobs) // self.workers))
+        slices = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+        return [
+            pair
+            for part in pool.map(
+                _mp_encrypt_job, [self.profile.name] * len(slices), slices
+            )
+            for pair in part
+        ]
 
     def _put_recipes(
         self,
@@ -332,7 +374,7 @@ class TedStoreClient:
         file_recipe: FileRecipe,
         key_recipe: KeyRecipe,
     ) -> None:
-        """Seal and upload recipes (shared by serial and pipelined paths)."""
+        """Seal and upload a file's recipes (either storage layout)."""
         if self.metadata_dedup:
             from repro.storage.metadedup import pack_metadata_chunks
 
@@ -410,10 +452,7 @@ class TedStoreClient:
         with tracing.get_tracer().span(
             "client.download", attributes={"file": file_name}
         ):
-            if self.pipelined:
-                data = self._download_pipelined(file_name)
-            else:
-                data = self._download_inner(file_name)
+            data = self._download_inner(file_name)
         _CLIENT_OPS.labels(op="download").inc()
         _CLIENT_BYTES.labels(op="download").inc(len(data))
         return data
@@ -467,46 +506,61 @@ class TedStoreClient:
             )
         return file_recipe, key_recipe
 
-    def _download_pipelined(self, file_name: str) -> bytes:
-        from repro.tedstore.restore_pipeline import PipelinedDownloader
-
-        with self.timer.stage("recipe fetch"):
-            file_recipe, key_recipe = self._fetch_recipes(file_name)
-        downloader = PipelinedDownloader(self)
-        data = downloader.run(
-            file_name, file_recipe.entries, key_recipe.keys
-        )
-        _CLIENT_CHUNKS.labels(op="download").inc(
-            len(file_recipe.entries)
-        )
-        return data
-
     def _download_inner(self, file_name: str) -> bytes:
         with self.timer.stage("recipe fetch"):
             file_recipe, key_recipe = self._fetch_recipes(file_name)
 
         pieces: List[bytes] = []
+        # Plaintext per (ciphertext fingerprint, key) pair restored so
+        # far: deduplicated data repeats chunks, and each repeat is
+        # copied instead of fetched and decrypted again. Keying on the
+        # pair, not the fingerprint alone, means a repeat can never
+        # change output.
+        plaintexts: Dict[bytes, bytes] = {}
         entries = file_recipe.entries
         keys = key_recipe.keys
         for start in range(0, len(entries), self.batch_size):
             batch_entries = entries[start : start + self.batch_size]
             batch_keys = keys[start : start + self.batch_size]
-            with self.timer.stage("chunk fetch"):
-                chunks = self._get_chunks_checked(
-                    [fp for fp, _ in batch_entries]
+            pairs = [
+                fp + b"\x00" + key
+                for (fp, _), key in zip(batch_entries, batch_keys)
+            ]
+            want = list(
+                dict.fromkeys(
+                    fp
+                    for (fp, _), pair in zip(batch_entries, pairs)
+                    if pair not in plaintexts
                 )
-            _CLIENT_CHUNKS.labels(op="download").inc(len(chunks))
+            )
+            fetched: Dict[bytes, bytes] = {}
+            if want:
+                with self.timer.stage("chunk fetch"):
+                    fetched = dict(
+                        zip(want, self._get_chunks_checked(want))
+                    )
+            _CLIENT_CHUNKS.labels(op="download").inc(len(batch_entries))
+            _PIPELINE_CHUNKS.labels(path="fetched").inc(len(want))
+            decrypted = 0
             with self.timer.stage("decryption"):
-                for (fp, size), key, ciphertext in zip(
-                    batch_entries, batch_keys, chunks
+                for (fp, size), key, pair in zip(
+                    batch_entries, batch_keys, pairs
                 ):
-                    plaintext = self.profile.decrypt(key, ciphertext)
+                    plaintext = plaintexts.get(pair)
+                    if plaintext is None:
+                        plaintext = self.profile.decrypt(key, fetched[fp])
+                        plaintexts[pair] = plaintext
+                        decrypted += 1
                     if len(plaintext) != size:
                         raise ValueError(
                             f"chunk {fp.hex()} decrypted to {len(plaintext)} "
                             f"bytes, expected {size}"
                         )
                     pieces.append(plaintext)
+            _PIPELINE_CHUNKS.labels(path="decrypted").inc(decrypted)
+            _PIPELINE_CHUNKS.labels(path="restore_alias").inc(
+                len(batch_entries) - decrypted
+            )
         return b"".join(pieces)
 
     # -- key generation only (Experiment B.2) -------------------------------------

@@ -250,7 +250,6 @@ class MultiShardProvider(_ShardFleet):
             every shard's transport.
         retry_policy: per-shard transport retry policy (absorbs blips
             *within* one call; the breaker counts whole-call failures).
-        data_connections: per-shard data-connection pool size.
         breaker_failures / breaker_reset: circuit-breaker tuning.
         heartbeat_interval: seconds between health probes; ``0``
             disables the monitor thread (tests drive probes manually).
@@ -266,7 +265,6 @@ class MultiShardProvider(_ShardFleet):
         tenant: str = DEFAULT_TENANT,
         auth_token: bytes = b"",
         retry_policy: Optional[RetryPolicy] = None,
-        data_connections: int = 0,
         breaker_failures: int = 3,
         breaker_reset: float = 5.0,
         heartbeat_interval: float = 0.0,
@@ -284,7 +282,6 @@ class MultiShardProvider(_ShardFleet):
                 address,
                 retry_policy=retry_policy,
                 propagate_trace=propagate_trace,
-                data_connections=data_connections,
                 tenant=self.tenant,
                 auth_token=auth_token,
                 connect_timeout=connect_timeout,

@@ -112,7 +112,7 @@ class KeyManagerService:
     def handle_keygen_batched(
         self, request: BatchedKeyGenRequest, client_id: str = "local"
     ) -> BatchedKeyGenResponse:
-        """Serve one *sequenced* keygen batch (pipelined client path).
+        """Serve one *sequenced* keygen batch.
 
         Enforces the batching contract of DESIGN.md §10: batches of one
         client stream must arrive in non-decreasing sequence order,

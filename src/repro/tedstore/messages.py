@@ -52,7 +52,7 @@ MSG_STATS_RESPONSE = 13
 # Unlike MSG_ERROR it is always safe to retry: the request was never
 # dispatched, so no state changed.
 MSG_BUSY = 14
-# Sequenced keygen batch (pipelined client path, DESIGN.md §10): same
+# Sequenced keygen batch (DESIGN.md §10): same
 # payload as MSG_KEYGEN_REQUEST/RESPONSE plus a stream sequence number so
 # the key manager can enforce in-order batch delivery — the frequency
 # state the sketch accumulates is order-sensitive across batches.
@@ -314,7 +314,7 @@ class KeyGenResponse:
 
 @dataclass
 class BatchedKeyGenRequest:
-    """A sequenced keygen batch from the pipelined client path.
+    """A sequenced keygen batch from one client stream.
 
     The ``sequence`` number identifies this batch's position in the
     client's keygen stream (0, 1, 2, ... per upload). The key manager

@@ -878,16 +878,6 @@ class RemoteProvider:
     """TCP provider transport (client stub).
 
     Args:
-        data_connections: extra connections dedicated to chunk-data
-            frames (``put_chunks`` and ``get_chunks``). With the
-            default 0, all traffic shares one connection. The pipelined
-            client sets this so bulk chunk frames never queue behind
-            (or ahead of) recipe and control traffic, and so chunk
-            round-trips overlap with keygen traffic on the other
-            entity's socket. Data calls round-robin over the pool; each
-            individual call still runs request/response, so a single
-            uploader (or prefetcher) thread keeps strict ordering even
-            across pool members.
         tenant: tenant namespace this client binds to via the HELLO
             handshake (DESIGN.md §13). The default tenant skips the
             handshake entirely, preserving the legacy wire exchange.
@@ -900,76 +890,41 @@ class RemoteProvider:
         address: Tuple[str, int],
         retry_policy: Optional[RetryPolicy] = None,
         propagate_trace: bool = True,
-        data_connections: int = 0,
         tenant: str = DEFAULT_TENANT,
         auth_token: bytes = b"",
         connect_timeout: float = 10.0,
         io_timeout: float = 60.0,
     ) -> None:
-        if data_connections < 0:
-            raise ValueError("data_connections cannot be negative")
         self.tenant = tenant or DEFAULT_TENANT
-        # Every connection (control and data pool) performs the same
-        # handshake on each (re)connect, so a reconnected data socket is
-        # re-bound to the tenant before any retried chunk frame lands.
+        # The handshake runs on each (re)connect, so a reconnected
+        # socket is re-bound to the tenant before any retried frame.
         hello: Optional[m.Hello] = None
         if self.tenant != DEFAULT_TENANT or auth_token:
             hello = m.Hello(tenant=self.tenant, auth_token=auth_token)
-        self._hello = hello
-        # Build the control + data pool transactionally: if any later
-        # connection fails (server dies mid-HELLO on conn k), the ones
-        # already connected must be closed, not leaked with the
-        # constructor's exception.
-        built: List[_Connection] = []
-        try:
-            for _ in range(1 + data_connections):
-                built.append(
-                    _Connection(
-                        address,
-                        retry_policy=retry_policy,
-                        entity="provider",
-                        propagate_trace=propagate_trace,
-                        hello=hello,
-                        connect_timeout=connect_timeout,
-                        io_timeout=io_timeout,
-                    )
-                )
-        except BaseException:
-            for conn in built:
-                conn.close()
-            raise
-        self._conn = built[0]
-        self._data_conns = built[1:]
-        self._rr_lock = threading.Lock()
-        self._rr_next = 0
-
-    def _data_conn(self) -> _Connection:
-        if not self._data_conns:
-            return self._conn
-        with self._rr_lock:
-            conn = self._data_conns[self._rr_next % len(self._data_conns)]
-            self._rr_next += 1
-        return conn
+        self._conn = _Connection(
+            address,
+            retry_policy=retry_policy,
+            entity="provider",
+            propagate_trace=propagate_trace,
+            hello=hello,
+            connect_timeout=connect_timeout,
+            io_timeout=io_timeout,
+        )
 
     @property
     def hello_ok(self) -> Optional[m.HelloOk]:
-        """Server's handshake reply on the control connection, if any."""
+        """Server's handshake reply, if a handshake ran."""
         return self._conn.hello_ok
 
     def put_chunks(self, request: m.PutChunks) -> m.PutChunksResponse:
         # Idempotent: the provider deduplicates by fingerprint, so a
         # replayed batch stores nothing new.
-        _, payload = self._data_conn().call(
-            m.MSG_PUT_CHUNKS, request.encode()
-        )
+        _, payload = self._conn.call(m.MSG_PUT_CHUNKS, request.encode())
         return m.PutChunksResponse.decode(payload)
 
     def get_chunks(self, request: m.GetChunks) -> m.Chunks:
-        # Idempotent read: safe to retry, and routed over the data pool
-        # so restore prefetch traffic never queues behind control calls.
-        _, payload = self._data_conn().call(
-            m.MSG_GET_CHUNKS, request.encode()
-        )
+        # Idempotent read: safe to retry.
+        _, payload = self._conn.call(m.MSG_GET_CHUNKS, request.encode())
         return m.Chunks.decode(payload)
 
     def put_recipes(self, request: m.PutRecipes) -> None:
@@ -986,24 +941,14 @@ class RemoteProvider:
 
     def stats(self) -> List[Tuple[str, int]]:
         _, payload = self._conn.call(m.MSG_STATS_REQUEST, b"")
-        return m.decode_stats(payload) + self.wire_stats_pairs()
+        return m.decode_stats(payload) + self._conn.stats_pairs()
 
     def wire_stats(self) -> Dict[str, int]:
         """Client-side retry/reconnect/timeout counters."""
-        return dict(self.wire_stats_pairs())
-
-    def wire_stats_pairs(self) -> List[Tuple[str, int]]:
-        """Wire counters summed over the control + data connections."""
-        totals: Dict[str, int] = {}
-        for conn in [self._conn, *self._data_conns]:
-            for name, value in conn.stats_pairs():
-                totals[name] = totals.get(name, 0) + value
-        return list(totals.items())
+        return dict(self._conn.stats_pairs())
 
     def close(self) -> None:
         self._conn.close()
-        for conn in self._data_conns:
-            conn.close()
 
 
 class RemoteShardObserver:

@@ -3,7 +3,7 @@
 The KM half of ROADMAP item 2 (DESIGN.md §15). A
 :class:`ShardedKeyManager` presents exactly the
 :class:`~repro.tedstore.keymanager.KeyManagerService` interface — the
-wire layer, the in-process transport, and the client pipeline cannot
+wire layer, the in-process transport, and the client cannot
 tell them apart — but splits frequency counting across N Count-Min
 sketch shards selected by the consistent-hash ring.
 
@@ -442,7 +442,7 @@ LocalKeyManager` duck-type against ``handle_keygen`` /
         The sequence check happens once at the front — sub-batches fan
         out to shards only after the stream position is validated, and
         the reply reassembles every shard's estimates back into arrival
-        order, so the client pipeline's contract (DESIGN.md §10) is
+        order, so the client's ordering contract (DESIGN.md §10) is
         untouched by sharding.
         """
         with self._lock:

@@ -1,10 +1,11 @@
-"""Differential harness: serial vs pipelined client equivalence.
+"""Differential harness: the client's upload and restore oracles.
 
-The pipelined upload path (DESIGN.md §10) promises *bit-identical* stored
-state to the serial baseline. This harness makes that claim executable:
-build two isolated deployments (own key manager, own on-disk provider),
-run the same workload through each — one serial, one pipelined — and
-assert that everything durable is equal:
+The client's batch loop (DESIGN.md §§10–11) promises *bit-identical*
+stored state with and without its fingerprint cache and encrypt
+process pool. This harness makes that claim executable: build two
+isolated deployments (own key manager, own on-disk provider), run the
+same workload through each — one cache-off single-process client, one
+candidate — and assert that everything durable is equal:
 
 * every byte under the provider's storage directory (containers, chunk
   index) — compared file by file;
@@ -19,6 +20,10 @@ the provider, so the *offered* chunk counters legitimately shrink; the
 ``ignore_offered_counters`` flag relaxes exactly those counters and
 nothing else — physical state, recipes, and sketch must still match,
 with the dedup ratio reconciled from client-side accounting instead.
+
+On the restore side, :func:`naive_download` fetches and decrypts every
+recipe entry with no aliasing: the oracle the client's download loop,
+which copies repeated (ciphertext, key) pairs, is compared against.
 
 Configurations cover the paper's three operating points: MLE (every
 copy, one key), BTED (fixed ``t``), and FTED (blowup factor ``b``,
@@ -96,13 +101,11 @@ def make_deployment(
     directory,
     *,
     workers: int = 1,
-    pipeline_depth: int = 3,
     cache_capacity: int = 0,
     client_batch_size: int = 500,
     km_batch_size: int = 1024,
     rng_seed: int = 7,
     metadata_dedup: bool = False,
-    crypto_workers: int = 0,
     key_manager_wrap=None,
     provider_wrap=None,
 ) -> Deployment:
@@ -136,10 +139,8 @@ def make_deployment(
         sketch_width=_SKETCH_WIDTH,
         batch_size=client_batch_size,
         workers=workers,
-        pipeline_depth=pipeline_depth,
         fingerprint_cache=cache,
         metadata_dedup=metadata_dedup,
-        crypto_workers=crypto_workers,
     )
     return Deployment(
         mode=mode,
@@ -158,7 +159,6 @@ def make_sharded_deployment(
     *,
     ring_seed: int = 0,
     workers: int = 1,
-    pipeline_depth: int = 3,
     client_batch_size: int = 500,
     km_batch_size: int = 1024,
     rng_seed: int = 7,
@@ -181,7 +181,6 @@ def make_sharded_deployment(
             mode,
             directory,
             workers=workers,
-            pipeline_depth=pipeline_depth,
             client_batch_size=client_batch_size,
             km_batch_size=km_batch_size,
             rng_seed=rng_seed,
@@ -214,7 +213,6 @@ def make_sharded_deployment(
         sketch_width=_SKETCH_WIDTH,
         batch_size=client_batch_size,
         workers=workers,
-        pipeline_depth=pipeline_depth,
     )
     return Deployment(
         mode=mode,
@@ -234,6 +232,30 @@ def run_workload(
         deployment.client.upload_chunks(name, list(chunks))
         for name, chunks in files
     ]
+
+
+def naive_download(client: TedStoreClient, file_name: str) -> bytes:
+    """Restore one file by fetching and decrypting every recipe entry.
+
+    The restore oracle: recipe entries are fetched in the client's
+    ``batch_size`` slices and each one is decrypted afresh, with no
+    aliasing of repeated (ciphertext, key) pairs, so every byte the
+    client's download loop copies from an earlier occurrence is checked
+    against an independent decrypt.
+    """
+    file_recipe, key_recipe = client._fetch_recipes(file_name)
+    entries, keys = file_recipe.entries, key_recipe.keys
+    pieces = []
+    for start in range(0, len(entries), client.batch_size):
+        batch = entries[start : start + client.batch_size]
+        ciphertexts = client._get_chunks_checked([fp for fp, _ in batch])
+        for (fp, size), key, ciphertext in zip(
+            batch, keys[start : start + client.batch_size], ciphertexts
+        ):
+            plaintext = client.profile.decrypt(key, ciphertext)
+            assert len(plaintext) == size, f"chunk {fp.hex()} size mismatch"
+            pieces.append(plaintext)
+    return b"".join(pieces)
 
 
 def make_workload(

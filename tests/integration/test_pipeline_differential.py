@@ -1,9 +1,9 @@
-"""Differential proof: pipelined upload path ≡ serial upload path.
+"""Differential proof: the client's upload options never change state.
 
-For each of the paper's operating points (MLE, BTED, FTED) the pipelined
-client — multiple encrypt workers, coalesced batched keygen, overlapped
-uploads — must leave the provider and the key manager in *bit-identical*
-state to the serial baseline. These tests execute that contract through
+For each of the paper's operating points (MLE, BTED, FTED) the client
+with an encrypt process pool and/or a fingerprint cache must leave the
+provider and the key manager in *bit-identical* state to the cache-off,
+single-process client. These tests execute that contract through
 :mod:`tests.harness.differential` against real on-disk providers.
 """
 
@@ -37,13 +37,9 @@ def _run(tmp_path, mode, **client_kwargs):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_pipelined_matches_serial_bit_for_bit(tmp_path, mode):
-    """workers=3, no cache: strictly identical state *and* counters."""
+    """workers=2, no cache: strictly identical state *and* counters."""
     serial, serial_results = _run(tmp_path / "serial", mode, workers=1)
-    piped, piped_results = _run(
-        tmp_path / "piped", mode, workers=3, pipeline_depth=2
-    )
-    assert piped.client.pipelined
-    assert not serial.client.pipelined
+    piped, piped_results = _run(tmp_path / "piped", mode, workers=2)
     assert_equivalent(
         serial,
         piped,
@@ -60,7 +56,7 @@ def test_cached_pipeline_matches_serial_storage(tmp_path, mode):
     """The fingerprint cache may skip PUTs, never change stored bytes."""
     serial, serial_results = _run(tmp_path / "serial", mode, workers=1)
     cached, cached_results = _run(
-        tmp_path / "cached", mode, workers=3, cache_capacity=8192
+        tmp_path / "cached", mode, cache_capacity=8192
     )
     assert_equivalent(
         serial,
@@ -80,12 +76,12 @@ def test_cached_pipeline_matches_serial_storage(tmp_path, mode):
 
 
 def test_single_worker_pipeline_matches_serial(tmp_path):
-    """workers=1 + cache routes through the pipeline; still identical."""
+    """A cache too small for the workload evicts; still identical."""
     serial, serial_results = _run(tmp_path / "serial", "fted", workers=1)
     piped, piped_results = _run(
-        tmp_path / "piped", "fted", workers=1, cache_capacity=4096
+        tmp_path / "piped", "fted", workers=1, cache_capacity=16
     )
-    assert piped.client.pipelined
+    assert piped.client.fingerprint_cache.evictions > 0
     assert_equivalent(
         serial,
         piped,
@@ -98,21 +94,21 @@ def test_single_worker_pipeline_matches_serial(tmp_path):
 
 @pytest.mark.parametrize("mode", ["fted"])
 def test_pipelined_downloads_round_trip(tmp_path, mode):
-    """Pipelined uploads stay readable through the normal download path."""
+    """Cached pool uploads stay readable through the download path."""
     deployment, _ = _run(
-        tmp_path / "piped", mode, workers=3, cache_capacity=4096
+        tmp_path / "piped", mode, workers=2, cache_capacity=4096
     )
     for name, chunks in WORKLOAD:
         assert deployment.client.download(name) == b"".join(chunks)
 
 
 def test_pipelined_metadata_dedup_matches_serial(tmp_path):
-    """The metadata-dedup recipe layout is preserved by the pipeline."""
+    """The metadata-dedup recipe layout is preserved by the pool."""
     serial = make_deployment(
         "fted", tmp_path / "serial", workers=1, metadata_dedup=True
     )
     piped = make_deployment(
-        "fted", tmp_path / "piped", workers=3, metadata_dedup=True
+        "fted", tmp_path / "piped", workers=2, metadata_dedup=True
     )
     serial_results = run_workload(serial, WORKLOAD)
     piped_results = run_workload(piped, WORKLOAD)

@@ -1,14 +1,12 @@
-"""Pipelined upload path under faults and concurrency stress.
+"""The client's upload loop under faults.
 
-The pipeline's consistency contract (DESIGN.md §10) must hold when the
-world misbehaves: a provider crash mid-upload, injected transport delays
-jittering thread interleavings, and injected hard faults that must
-surface promptly as a :class:`~repro.tedstore.pipeline.PipelineError`
-instead of deadlocking the stage queues.
+The loop's consistency contract (DESIGN.md §10) must hold when the
+world misbehaves: a provider crash mid-upload, injected transport
+delays, and injected hard faults that must surface promptly to the
+caller and leave the client reusable.
 """
 
 import random
-import threading
 import time
 
 import pytest
@@ -31,7 +29,6 @@ from repro.tedstore.network import (
     serve_key_manager,
     serve_provider,
 )
-from repro.tedstore.pipeline import PipelineError
 from repro.tedstore.provider import ProviderService
 from repro.tedstore.retry import RetryPolicy
 from repro.traces.workload import unique_file
@@ -95,8 +92,8 @@ class _KillAndRestartOnce:
 
 class TestProviderCrashMidPipeline:
     def test_pipelined_upload_survives_provider_restart(self, recorder):
-        """Kill the provider while the pipeline has stages in flight; the
-        uploader thread's retries must recover without losing or
+        """Kill the provider between PUT batches of a cached upload;
+        the transport's retries must recover without losing or
         duplicating a single chunk — and be visible as span events."""
         km_service = _key_manager_service()
         provider_service = ProviderService(in_memory=True)
@@ -115,7 +112,6 @@ class TestProviderCrashMidPipeline:
         raw_provider = RemoteProvider(
             prov_handle.address,
             retry_policy=RetryPolicy(max_attempts=6, **_FAST_RETRY),
-            data_connections=2,
         )
         provider = _KillAndRestartOnce(raw_provider, restart_provider)
         client = TedStoreClient(
@@ -124,8 +120,6 @@ class TestProviderCrashMidPipeline:
             profile=SHACTR,
             sketch_width=_W,
             batch_size=8,  # many small PUT batches → crash lands mid-stream
-            workers=3,
-            pipeline_depth=2,
             fingerprint_cache=FingerprintCache(capacity=4096),
         )
         try:
@@ -151,8 +145,6 @@ class TestProviderCrashMidPipeline:
                 for name in span.event_names()
             ]
             assert "wire.retry" in events
-            span_names = {span.name for span in recorder.spans()}
-            assert "client.pipeline" in span_names
         finally:
             km.close()
             raw_provider.close()
@@ -162,9 +154,8 @@ class TestProviderCrashMidPipeline:
 
 class TestInjectedFaults:
     def test_delay_faults_jitter_interleavings_not_state(self, tmp_path):
-        """Injected delays reorder thread wakeups, never stored bytes:
-        the delayed pipelined run must stay bit-identical to a clean
-        serial run."""
+        """Injected delays change timing, never stored bytes: the
+        delayed pool run must stay bit-identical to a clean run."""
         delay_plan = FaultPlan(
             delay_rate=0.3, delay_seconds=0.002, seed=42
         )
@@ -172,8 +163,7 @@ class TestInjectedFaults:
         jittered = make_deployment(
             "fted",
             tmp_path / "jittered",
-            workers=4,
-            pipeline_depth=2,
+            workers=2,
             client_batch_size=200,
             key_manager_wrap=lambda t: FaultyKeyManager(t, delay_plan),
             provider_wrap=lambda t: FaultyProvider(t, delay_plan),
@@ -189,39 +179,23 @@ class TestInjectedFaults:
         assert counters["delays"] > 0  # the faults really fired
 
     def test_hard_fault_fails_fast_without_deadlock(self, tmp_path):
-        """A drop fault anywhere in the pipeline must surface as a
-        PipelineError promptly — bounded queues and a dead stage must
-        never leave the caller blocked."""
+        """A drop fault on the provider must surface to the caller
+        promptly as the injected fault itself."""
         drop_plan = FaultPlan(drop_rate=1.0, seed=1)
         deployment = make_deployment(
             "fted",
             tmp_path,
-            workers=3,
-            pipeline_depth=2,
+            workers=2,
             client_batch_size=100,
             provider_wrap=lambda t: FaultyProvider(t, drop_plan),
         )
         started = time.monotonic()
-        with pytest.raises(PipelineError) as excinfo:
+        with pytest.raises(InjectedFault):
             deployment.client.upload_chunks("doomed", WORKLOAD[0][1])
         assert time.monotonic() - started < 30.0
-        assert isinstance(excinfo.value.__cause__, InjectedFault)
-        # All pipeline threads unwound with the failure.
-        lingering = [
-            t
-            for t in threading.enumerate()
-            if t.name.startswith("ted-pipeline")
-        ]
-        for thread in lingering:
-            thread.join(timeout=5.0)
-        assert not any(
-            t.is_alive()
-            for t in threading.enumerate()
-            if t.name.startswith("ted-pipeline")
-        )
 
     def test_keygen_fault_fails_fast(self, tmp_path):
-        """Same, when the key-manager stage dies instead of the uploader."""
+        """Same, when the key manager fails instead of the provider."""
         drop_plan = FaultPlan(drop_rate=1.0, seed=2)
         deployment = make_deployment(
             "fted",
@@ -229,13 +203,12 @@ class TestInjectedFaults:
             workers=2,
             key_manager_wrap=lambda t: FaultyKeyManager(t, drop_plan),
         )
-        with pytest.raises(PipelineError) as excinfo:
+        with pytest.raises(InjectedFault):
             deployment.client.upload_chunks("doomed", WORKLOAD[0][1])
-        assert isinstance(excinfo.value.__cause__, InjectedFault)
 
     def test_failed_upload_leaves_client_reusable(self, tmp_path):
-        """After a pipeline failure the same client must complete the
-        next upload (fresh uploader instance, no poisoned state)."""
+        """After a failed upload the same client must complete the next
+        one (no poisoned state)."""
         plans = iter(
             [FaultPlan(drop_rate=1.0, seed=3), FaultPlan(seed=3)]
         )
@@ -258,10 +231,10 @@ class TestInjectedFaults:
             return holder["provider"]
 
         deployment = make_deployment(
-            "fted", tmp_path, workers=3, provider_wrap=wrap
+            "fted", tmp_path, workers=2, provider_wrap=wrap
         )
         name, chunks = WORKLOAD[0]
-        with pytest.raises(PipelineError):
+        with pytest.raises(InjectedFault):
             deployment.client.upload_chunks(name, chunks)
         holder["provider"].rearm()  # same client, faults healed
         result = deployment.client.upload_chunks(name, chunks)

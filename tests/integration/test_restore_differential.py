@@ -1,10 +1,12 @@
-"""Differential tests: pipelined download vs serial (DESIGN.md §11).
+"""Differential tests: the client's restore vs the naive oracle (DESIGN.md §11).
 
-The pipelined restore path promises byte-identical plaintext to the
-serial loop for every operating point, every storage layout, and under
-injected faults. These tests download the same stored files through
-both paths and compare, and prove the path recovers from a provider
-crash mid-download over real TCP.
+The client's download loop copies repeated (ciphertext, key) pairs
+instead of fetching and decrypting them again. It promises plaintext
+byte-identical to :func:`~tests.harness.differential.naive_download`,
+which decrypts every recipe entry afresh, for every operating point,
+every storage layout, and under injected faults. These tests restore
+the same stored files both ways and compare, and prove the loop
+recovers from a provider crash mid-download over real TCP.
 """
 
 import random
@@ -13,7 +15,6 @@ import pytest
 
 from repro.core.ted import TedKeyManager
 from repro.crypto.cipher import SHACTR
-from repro.obs import tracing
 from repro.tedstore.client import TedStoreClient
 from repro.tedstore.faults import (
     FaultPlan,
@@ -34,6 +35,7 @@ from tests.harness.differential import (
     MODES,
     make_deployment,
     make_workload,
+    naive_download,
     run_workload,
 )
 
@@ -45,10 +47,8 @@ FILE_NAMES = [name for name, _ in WORKLOAD]
 EXPECTED = {name: b"".join(chunks) for name, chunks in WORKLOAD}
 
 
-def pipelined_twin(
-    deployment, *, workers: int = 4, pipeline_depth: int = 3
-) -> TedStoreClient:
-    """A pipelined client sharing the serial deployment's transports.
+def twin(deployment, *, batch_size: int = 0) -> TedStoreClient:
+    """A second client sharing the deployment's transports.
 
     Downloads never touch the key manager, so pointing a second client
     at the same provider state isolates exactly the path under test.
@@ -60,9 +60,7 @@ def pipelined_twin(
         master_key=base.master_key,
         profile=base.profile,
         sketch_width=base.sketch_width,
-        batch_size=base.batch_size,
-        workers=workers,
-        pipeline_depth=pipeline_depth,
+        batch_size=batch_size or base.batch_size,
         metadata_dedup=base.metadata_dedup,
     )
 
@@ -73,24 +71,22 @@ class TestByteIdentity:
         deployment = make_deployment(mode, tmp_path)
         run_workload(deployment, WORKLOAD)
         deployment.close()
-        piped = pipelined_twin(deployment)
         for name in FILE_NAMES:
-            serial_data = deployment.client.download(name)
-            piped_data = piped.download(name)
-            assert serial_data == EXPECTED[name]
-            assert piped_data == serial_data
+            naive_data = naive_download(deployment.client, name)
+            data = deployment.client.download(name)
+            assert naive_data == EXPECTED[name]
+            assert data == naive_data
 
     @pytest.mark.parametrize("mode", MODES)
     def test_with_provider_lookahead(self, tmp_path, mode):
         """Container read-ahead on the provider must not change bytes."""
-        naive = make_deployment(mode, tmp_path / "naive")
-        run_workload(naive, WORKLOAD)
-        naive.close()
-        naive.provider_service.lookahead_window = 64
-        piped = pipelined_twin(naive)
+        deployment = make_deployment(mode, tmp_path)
+        run_workload(deployment, WORKLOAD)
+        deployment.close()
+        deployment.provider_service.lookahead_window = 64
         for name in FILE_NAMES:
-            assert piped.download(name) == EXPECTED[name]
-            assert naive.client.download(name) == EXPECTED[name]
+            assert deployment.client.download(name) == EXPECTED[name]
+            assert naive_download(deployment.client, name) == EXPECTED[name]
 
     def test_metadata_dedup_layout(self, tmp_path):
         deployment = make_deployment(
@@ -98,11 +94,10 @@ class TestByteIdentity:
         )
         run_workload(deployment, WORKLOAD)
         deployment.close()
-        piped = pipelined_twin(deployment)
         for name in FILE_NAMES:
             assert (
                 deployment.client.download(name)
-                == piped.download(name)
+                == naive_download(deployment.client, name)
                 == EXPECTED[name]
             )
 
@@ -141,7 +136,7 @@ class _RetryingProvider:
 
 class TestDownloadUnderFaults:
     def test_delay_faults_do_not_change_bytes(self, tmp_path):
-        """Injected delays jitter worker interleavings, never output."""
+        """Injected delays change timing, never output."""
         delay_plan = FaultPlan(
             delay_rate=0.3, delay_seconds=0.002, seed=17
         )
@@ -153,9 +148,9 @@ class TestDownloadUnderFaults:
         )
         run_workload(deployment, WORKLOAD)
         deployment.close()
-        piped = pipelined_twin(deployment, workers=4, pipeline_depth=2)
+        small_batches = twin(deployment, batch_size=97)
         for name in FILE_NAMES:
-            assert piped.download(name) == EXPECTED[name]
+            assert small_batches.download(name) == EXPECTED[name]
         counters = deployment.client.provider.fault_counters
         assert counters["delays"] > 0
 
@@ -170,13 +165,11 @@ class TestDownloadUnderFaults:
         retrying = _RetryingProvider(
             FaultyProvider(deployment.client.provider, close_plan)
         )
-        piped = pipelined_twin(deployment, workers=3)
-        piped.provider = retrying
-        serial = pipelined_twin(deployment, workers=1)
-        serial.provider = retrying
+        client = twin(deployment)
+        client.provider = retrying
         for name in FILE_NAMES:
-            assert piped.download(name) == EXPECTED[name]
-            assert serial.download(name) == EXPECTED[name]
+            assert client.download(name) == EXPECTED[name]
+            assert naive_download(client, name) == EXPECTED[name]
         assert retrying.retries > 0  # the faults really fired
 
 
@@ -203,9 +196,9 @@ class _KillAndRestartOnGet:
 
 class TestProviderCrashMidDownload:
     def test_pipelined_download_survives_provider_restart(self):
-        """Kill the provider while the prefetcher has fetches in flight;
-        the retry layer must recover and the restored bytes must be
-        exact — no truncation, no reordering."""
+        """Kill the provider between GetChunks batches; the retry layer
+        must recover and the restored bytes must be exact — no
+        truncation, no reordering."""
         km_service = KeyManagerService(
             TedKeyManager(
                 secret=b"restore-crash",
@@ -231,7 +224,6 @@ class TestProviderCrashMidDownload:
         raw_provider = RemoteProvider(
             prov_handle.address,
             retry_policy=RetryPolicy(max_attempts=6, **_FAST_RETRY),
-            data_connections=2,
         )
         provider = _KillAndRestartOnGet(raw_provider, restart_provider)
         client = TedStoreClient(
@@ -240,8 +232,6 @@ class TestProviderCrashMidDownload:
             profile=SHACTR,
             sketch_width=_W,
             batch_size=120,  # many GetChunks batches → crash mid-stream
-            workers=3,
-            pipeline_depth=2,
         )
         try:
             name, chunks = WORKLOAD[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -99,6 +100,44 @@ class TestFlightRecorder:
             e["delta"] for e in iter_flight(path) if e["kind"] == "metrics"
         ]
         assert deltas == [{"ted_x_total": 3}, {"ted_x_total": 4}]
+
+    def test_concurrent_metrics_deltas_replay_to_the_registry(self, path):
+        """Caller A reads the counter at 1 and pauses; the counter moves
+        to 2 and caller B emits. A's older snapshot must not land after
+        B's, or replaying the file disagrees with the registry."""
+        registry = MetricsRegistry()
+        counter = registry.counter("ted_x_total")
+        counter.inc()
+        a_has_read = threading.Event()
+        resume_a = threading.Event()
+
+        class PausingRegistry:
+            def instruments(self):
+                yield from registry.instruments()
+                a_has_read.set()  # every value is read by now
+                resume_a.wait(timeout=10.0)
+
+        recorder = FlightRecorder(path, clock=FakeClock())
+        caller_a = threading.Thread(
+            target=recorder.emit_metrics_delta, args=(PausingRegistry(),)
+        )
+        caller_a.start()
+        assert a_has_read.wait(timeout=10.0)
+        counter.inc()
+        caller_b = threading.Thread(
+            target=recorder.emit_metrics_delta, args=(registry,)
+        )
+        caller_b.start()
+        caller_b.join(timeout=1.0)  # finishes early only without a lock
+        resume_a.set()
+        caller_a.join(timeout=10.0)
+        caller_b.join(timeout=10.0)
+        recorder.close()
+        replayed = {}
+        for event in iter_flight(path):
+            if event["kind"] == "metrics":
+                replayed.update(event["delta"])
+        assert replayed == {"ted_x_total": counter.value}
 
 
 class TestIterFlight:

@@ -28,6 +28,15 @@ class TestAppendRead:
         loc = store.append(b"chunk-data")
         assert store.read(loc) == b"chunk-data"
 
+    def test_open_container_read_after_later_appends(self, store):
+        first = store.append(b"first")
+        second = store.append(b"second")
+        assert first.container_id == store.open_container_id
+        assert store.read(first) == b"first"
+        assert store.read(second) == b"second"
+        with pytest.raises(ValueError):
+            store.read(ChunkLocation(first.container_id, 0, 500))
+
     def test_roundtrip_after_seal(self, store):
         loc = store.append(b"chunk-data")
         store.seal()

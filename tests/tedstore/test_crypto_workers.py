@@ -1,27 +1,25 @@
 """Multiprocessing encrypt pool: byte-identical stored state.
 
-``crypto_workers > 0`` moves encryption into a pool of OS processes
+``workers > 1`` moves encryption into a pool of OS processes
 (DESIGN.md §16). Encryption is a pure function of (profile, key, chunk)
-and the uploader re-sequences by index, so the provider's on-disk state,
-the recipes, and the upload results must be byte-identical to the serial
-client's — the same contract the threaded pipeline already honours.
+and the pool returns each batch's slices in submission order, so the
+provider's on-disk state, the recipes, and the upload results must be
+byte-identical to the single-process client's.
 """
 
 import pytest
 
 from tests.harness import differential as diff
 
-from repro.tedstore.pipeline import _mp_encrypt_job
+from repro.tedstore.client import _mp_encrypt_job
 
 
 @pytest.mark.parametrize("mode", ["mle", "bted", "fted"])
-def test_crypto_workers_matches_serial(mode, tmp_path):
+def test_pool_workers_match_serial(mode, tmp_path):
     files = diff.make_workload(seed=3, files=5, chunks_per_file=80)
     names = [name for name, _ in files]
     serial = diff.make_deployment(mode, tmp_path / "serial")
-    pooled = diff.make_deployment(
-        mode, tmp_path / "pooled", crypto_workers=2
-    )
+    pooled = diff.make_deployment(mode, tmp_path / "pooled", workers=2)
     results_serial = diff.run_workload(serial, files)
     results_pooled = diff.run_workload(pooled, files)
     serial.close()
@@ -32,26 +30,13 @@ def test_crypto_workers_matches_serial(mode, tmp_path):
     ]
 
 
-def test_crypto_workers_implies_pipelined(tmp_path):
-    deployment = diff.make_deployment(
-        "bted", tmp_path / "d", crypto_workers=1
-    )
-    assert deployment.client.pipelined
-    deployment.close()
-
-
-def test_crypto_workers_with_threads_and_cache(tmp_path):
-    # The pool composes with the existing pipeline features: multiple
-    # worker threads and the fingerprint cache (aliases + cache hits).
+def test_pool_workers_with_cache(tmp_path):
+    # The pool composes with the fingerprint cache (repeats + cache hits).
     files = diff.make_workload(seed=9, files=4, chunks_per_file=60)
     names = [name for name, _ in files]
     serial = diff.make_deployment("bted", tmp_path / "serial")
     combined = diff.make_deployment(
-        "bted",
-        tmp_path / "combined",
-        workers=3,
-        crypto_workers=2,
-        cache_capacity=4096,
+        "bted", tmp_path / "combined", workers=2, cache_capacity=4096
     )
     diff.run_workload(serial, files)
     diff.run_workload(combined, files)
@@ -64,22 +49,15 @@ def test_crypto_workers_with_threads_and_cache(tmp_path):
 
 def test_mp_encrypt_job_matches_inline():
     # The pool entrypoint itself (callable in-process too) must produce
-    # what the inline worker loop produces.
+    # what in-process encryption produces.
     from repro.crypto.cipher import get_profile
     from repro.crypto.hashes import digest
 
     profile = get_profile("shactr")
-    job = [
-        (7, b"plaintext-chunk" * 10, b"fp" * 16, b"seed" * 8, b"k" * 32),
-    ]
-    [resolved] = _mp_encrypt_job("shactr", job)
-    expected = profile.encrypt(b"k" * 32, b"plaintext-chunk" * 10)
-    assert resolved.index == 7
-    assert resolved.ciphertext == expected
-    assert resolved.cipher_fp == digest(expected, profile.hash_algorithm)
-    assert resolved.size == len(b"plaintext-chunk" * 10)
-
-
-def test_client_rejects_negative_crypto_workers(tmp_path):
-    with pytest.raises(ValueError):
-        diff.make_deployment("bted", tmp_path / "d", crypto_workers=-1)
+    chunk = b"plaintext-chunk" * 10
+    [(cipher_fp, ciphertext)] = _mp_encrypt_job(
+        "shactr", [(b"k" * 32, chunk)]
+    )
+    expected = profile.encrypt(b"k" * 32, chunk)
+    assert ciphertext == expected
+    assert cipher_fp == digest(expected, profile.hash_algorithm)

@@ -1,10 +1,11 @@
-"""Unit tests for the pipelined upload path and the fingerprint cache.
+"""Unit tests for the client's upload loop options and the fingerprint cache.
 
 Integration-level equivalence lives in
-``tests/integration/test_pipeline_differential.py``; here the pipeline's
-local contracts are pinned down: ordering, accounting invariants, error
-propagation, graceful fallback, and the cache's thread-safety under a
-barrier-synchronized race.
+``tests/integration/test_pipeline_differential.py``; here the loop's
+local contracts with an encrypt pool and a cache are pinned down:
+ordering, accounting invariants, error propagation, a plain keygen
+transport, and the cache's thread-safety under a barrier-synchronized
+race.
 """
 
 import random
@@ -19,7 +20,6 @@ from repro.tedstore.client import TedStoreClient
 from repro.tedstore.inprocess import LocalKeyManager, LocalProvider
 from repro.tedstore.keymanager import KeyManagerService
 from repro.tedstore.messages import KeyGenRequest
-from repro.tedstore.pipeline import PipelineError, PipelinedUploader
 from repro.tedstore.provider import ProviderService
 
 _W = 2**14
@@ -52,14 +52,14 @@ def _chunks(count=600, distinct=30, seed=9):
 
 class TestOrderingAndAccounting:
     def test_chunk_order_is_preserved(self):
-        """Workers finish out of order; the resequencer must not."""
-        client = _client(workers=4, pipeline_depth=2)
+        """Pool slices come back in submission order."""
+        client = _client(workers=2, batch_size=100)
         chunks = _chunks()
         client.upload_chunks("ordered", chunks)
         assert client.download("ordered") == b"".join(chunks)
 
     def test_accounting_invariant_holds(self):
-        client = _client(workers=3)
+        client = _client(workers=2)
         chunks = _chunks()
         result = client.upload_chunks("acct", chunks)
         assert result.chunk_count == len(chunks)
@@ -71,7 +71,7 @@ class TestOrderingAndAccounting:
 
     def test_cache_hits_are_counted_and_consistent(self):
         cache = FingerprintCache(capacity=4096)
-        client = _client(workers=3, fingerprint_cache=cache)
+        client = _client(fingerprint_cache=cache)
         chunks = _chunks()
         first = client.upload_chunks("first", chunks)
         second = client.upload_chunks("second", chunks)
@@ -87,43 +87,27 @@ class TestOrderingAndAccounting:
         assert client.download("second") == b"".join(chunks)
 
     def test_empty_upload_completes(self):
-        client = _client(workers=3)
+        client = _client(workers=2)
         result = client.upload_chunks("empty", [])
         assert result.chunk_count == 0
         assert result.stored_chunks == 0
         assert client.download("empty") == b""
 
     def test_single_chunk_upload(self):
-        client = _client(workers=4, pipeline_depth=1)
+        client = _client(workers=2)
         result = client.upload_chunks("one", [b"x" * 100])
         assert result.chunk_count == 1
         assert client.download("one") == b"x" * 100
 
 
 class TestRoutingAndValidation:
-    def test_serial_client_is_not_pipelined(self):
-        assert not _client().pipelined
-
-    def test_workers_enable_pipeline(self):
-        assert _client(workers=2).pipelined
-
-    def test_cache_enables_pipeline_even_with_one_worker(self):
-        client = _client(
-            workers=1, fingerprint_cache=FingerprintCache(capacity=16)
-        )
-        assert client.pipelined
-
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             _client(workers=0)
 
-    def test_invalid_pipeline_depth_rejected(self):
-        with pytest.raises(ValueError):
-            _client(workers=2, pipeline_depth=0)
-
 
 class _KeygenOnly:
-    """A key-manager transport predating the batched-keygen message."""
+    """A key-manager transport with only the plain keygen message."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -134,7 +118,7 @@ class _KeygenOnly:
 
 class TestFallbackAndErrors:
     def test_falls_back_to_plain_keygen_transport(self):
-        client = _client(workers=3)
+        client = _client(fingerprint_cache=FingerprintCache(capacity=64))
         client.key_manager = _KeygenOnly(client.key_manager)
         chunks = _chunks(count=300)
         result = client.upload_chunks("fallback", chunks)
@@ -143,7 +127,7 @@ class TestFallbackAndErrors:
         assert client.download("fallback") == b"".join(chunks)
 
     def test_provider_error_propagates_with_cause(self):
-        client = _client(workers=3, batch_size=50)
+        client = _client(workers=2, batch_size=50)
         boom = RuntimeError("disk on fire")
 
         class _Exploding:
@@ -161,31 +145,19 @@ class TestFallbackAndErrors:
                 return getattr(self._inner, name)
 
         client.provider = _Exploding(client.provider)
-        with pytest.raises(PipelineError) as excinfo:
+        with pytest.raises(RuntimeError) as excinfo:
             client.upload_chunks("explodes", _chunks())
-        assert excinfo.value.__cause__ is boom
-
-    def test_uploader_is_single_use(self):
-        client = _client(workers=2)
-        uploader = PipelinedUploader(client)
-        uploader.run("once", [b"a" * 10, b"b" * 10])
-        assert uploader.chunk_count == 2
+        # The provider's own error reaches the caller unwrapped.
+        assert excinfo.value is boom
+        assert client.provider.calls == 2
 
     def test_no_pipeline_threads_survive_an_upload(self):
-        client = _client(workers=4)
+        """The encrypt pool is shut down with its helper thread."""
+        before = set(threading.enumerate())
+        client = _client(workers=2)
         client.upload_chunks("clean", _chunks(count=200))
-        lingering = [
-            t
-            for t in threading.enumerate()
-            if t.name.startswith("ted-pipeline")
-        ]
-        for thread in lingering:
-            thread.join(timeout=5.0)
-        assert not any(
-            t.is_alive()
-            for t in threading.enumerate()
-            if t.name.startswith("ted-pipeline")
-        )
+        client.download("clean")
+        assert set(threading.enumerate()) <= before
 
 
 class TestFingerprintCacheRace:

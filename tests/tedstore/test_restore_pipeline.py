@@ -1,22 +1,23 @@
-"""Unit tests for the pipelined download path (DESIGN.md §11).
+"""Unit tests for the client's download loop (DESIGN.md §11).
 
 Covers the truncation regression (a short ``GetChunks`` reply must raise
 instead of silently shortening the restored file), restore-side alias
-suppression, fail-fast unwinding, and client reusability after a failed
+suppression, fail-fast errors, and client reusability after a failed
 download.
 """
 
-import threading
 import time
 
 import pytest
 
 from repro.tedstore import messages as m
 from repro.tedstore.faults import FaultPlan, FaultyProvider, InjectedFault
-from repro.tedstore.pipeline import PipelineError
-from repro.tedstore.restore_pipeline import PipelinedDownloader
 
-from tests.harness.differential import make_deployment, make_workload
+from tests.harness.differential import (
+    make_deployment,
+    make_workload,
+    naive_download,
+)
 
 WORKLOAD = make_workload(
     files=1, chunks_per_file=600, distinct_blocks=25, seed=11
@@ -45,6 +46,39 @@ class _ShortReplyProvider:
         return getattr(self._inner, name)
 
 
+class _Counting:
+    """Counts fetched fingerprints (provider) or decrypts (profile)."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.fetched = 0
+        self.decrypted = 0
+
+    def get_chunks(self, request: m.GetChunks) -> m.Chunks:
+        self.fetched += len(request.fingerprints)
+        return self._inner.get_chunks(request)
+
+    def decrypt(self, key: bytes, ciphertext: bytes) -> bytes:
+        self.decrypted += 1
+        return self._inner.decrypt(key, ciphertext)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _restore_counted(deployment, name):
+    """Download ``name``; return (data, chunks fetched, chunks decrypted)."""
+    client = deployment.client
+    provider, profile = client.provider, client.profile
+    client.provider = fetches = _Counting(provider)
+    client.profile = decrypts = _Counting(profile)
+    try:
+        data = client.download(name)
+    finally:
+        client.provider, client.profile = provider, profile
+    return data, fetches.fetched, decrypts.decrypted
+
+
 def _deploy_with_short_replies(tmp_path, **kwargs):
     holder = {}
 
@@ -68,16 +102,15 @@ class TestTruncationRegression:
             deployment.client.download(name)
 
     def test_pipelined_download_rejects_short_reply(self, tmp_path):
+        """The same check holds for files uploaded through the pool."""
         deployment, wrapper = _deploy_with_short_replies(
-            tmp_path, workers=3
+            tmp_path, workers=2
         )
         name, chunks = WORKLOAD[0]
         deployment.client.upload_chunks(name, chunks)
         wrapper.armed = True
-        with pytest.raises(PipelineError) as excinfo:
+        with pytest.raises(ValueError, match="provider returned"):
             deployment.client.download(name)
-        assert isinstance(excinfo.value.__cause__, ValueError)
-        assert "provider returned" in str(excinfo.value.__cause__)
 
     def test_metadedup_recipe_fetch_rejects_short_reply(self, tmp_path):
         """The metadata-chunk fetch goes through the same length check."""
@@ -95,42 +128,30 @@ class TestTruncationRegression:
 
 class TestAliasSuppression:
     def test_repeats_fetched_and_decrypted_once(self, tmp_path):
-        """On duplicate-heavy data the prefetcher fetches each unique
-        (ciphertext, key) pair once and the workers decrypt it once;
-        repeats resolve from the memo without changing a byte."""
-        deployment = make_deployment("mle", tmp_path, workers=3)
+        """On duplicate-heavy data each unique (ciphertext, key) pair is
+        fetched and decrypted once; repeats are copied from the first
+        occurrence without changing a byte."""
+        deployment = make_deployment("mle", tmp_path)
         name, chunks = WORKLOAD[0]
         deployment.client.upload_chunks(name, chunks)
-
-        client = deployment.client
-        file_recipe, key_recipe = client._fetch_recipes(name)
-        downloader = PipelinedDownloader(client)
-        data = downloader.run(
-            name, file_recipe.entries, key_recipe.keys
+        data, fetched, decrypted = _restore_counted(deployment, name)
+        assert data == b"".join(chunks) == naive_download(
+            deployment.client, name
         )
-        assert data == b"".join(chunks)
-        total = len(file_recipe.entries)
         # MLE: identical plaintext -> identical ciphertext and key, so
         # unique pairs == distinct blocks, far below the chunk count.
-        assert downloader.fetched < total
-        assert downloader.aliases > 0
-        assert downloader.decrypted == downloader.fetched == total - downloader.aliases
+        distinct = len(set(chunks))
+        assert decrypted == fetched == distinct < len(chunks)
 
     def test_counters_on_unique_data(self, tmp_path):
-        """All-unique data has no aliases; every chunk is fetched and
+        """All-unique data has no repeats; every chunk is fetched and
         decrypted exactly once."""
-        deployment = make_deployment("bted", tmp_path, workers=2)
+        deployment = make_deployment("bted", tmp_path)
         rng_chunks = [bytes([i % 251, i // 251]) * 700 for i in range(90)]
         deployment.client.upload_chunks("uniq", rng_chunks)
-        client = deployment.client
-        file_recipe, key_recipe = client._fetch_recipes("uniq")
-        downloader = PipelinedDownloader(client)
-        data = downloader.run(
-            "uniq", file_recipe.entries, key_recipe.keys
-        )
+        data, fetched, decrypted = _restore_counted(deployment, "uniq")
         assert data == b"".join(rng_chunks)
-        assert downloader.aliases == 0
-        assert downloader.fetched == downloader.decrypted == len(rng_chunks)
+        assert fetched == decrypted == len(rng_chunks)
 
 
 class TestFailureHandling:
@@ -139,35 +160,25 @@ class TestFailureHandling:
         name, chunks = WORKLOAD[0]
         deployment.client.upload_chunks(name, chunks)
 
-        # Re-point a pipelined client at the stored data, with every
+        # Re-point a second client at the stored data, with every
         # provider call dropped.
-        broken = TestFailureHandling._pipelined_twin(
-            deployment, workers=3, client_batch_size=100
+        broken = TestFailureHandling._twin(
+            deployment, workers=2, client_batch_size=100
         )
         broken.provider = FaultyProvider(
             broken.provider, FaultPlan(drop_rate=1.0, seed=9)
         )
         started = time.monotonic()
-        with pytest.raises((PipelineError, InjectedFault)) as excinfo:
+        with pytest.raises(InjectedFault):
             broken.download(name)
         assert time.monotonic() - started < 30.0
-        for thread in threading.enumerate():
-            if thread.name.startswith("ted-pipeline-decrypt"):
-                thread.join(timeout=5.0)
-        assert not any(
-            t.is_alive()
-            for t in threading.enumerate()
-            if t.name.startswith("ted-pipeline-decrypt")
-        )
 
     def test_failed_download_leaves_client_reusable(self, tmp_path):
-        deployment, wrapper = _deploy_with_short_replies(
-            tmp_path, workers=3
-        )
+        deployment, wrapper = _deploy_with_short_replies(tmp_path)
         name, chunks = WORKLOAD[0]
         deployment.client.upload_chunks(name, chunks)
         wrapper.armed = True
-        with pytest.raises(PipelineError):
+        with pytest.raises(ValueError):
             deployment.client.download(name)
         wrapper.armed = False  # faults healed; same client object
         assert deployment.client.download(name) == b"".join(chunks)
@@ -178,7 +189,7 @@ class TestFailureHandling:
         assert deployment.client.download("empty") == b""
 
     @staticmethod
-    def _pipelined_twin(deployment, *, workers, client_batch_size):
+    def _twin(deployment, *, workers, client_batch_size):
         from repro.tedstore.client import TedStoreClient
 
         base = deployment.client
